@@ -64,6 +64,8 @@ def _load_json(path):
 
 
 def _check_keys(d: dict, allowed, where: str) -> None:
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {d!r}")
     unknown = set(d) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}; allowed: {sorted(allowed)}")
@@ -79,6 +81,14 @@ def _seed(value, where: str):
     return seed
 
 
+def _coerce(kind, value, where: str):
+    """``kind(value)``, with a ConfigError naming ``where`` if it fails."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where} must be {kind.__name__}, got {value!r}") from None
+
+
 def preprocess_from_dict(d: dict) -> PreprocessParams:
     _check_keys(d, ("p_low", "p_high", "crop_enabled", "crop_percentile", "crop_margin"), "preprocess")
     return PreprocessParams(**d)
@@ -92,7 +102,7 @@ def threshold_from_dict(d: dict) -> ThresholdConfig:
             for z, pair in (d.get("per_slice_overrides") or {}).items()
         }
         return ThresholdConfig(float(d["t_min"]), float(d["t_max"]), overrides or None)
-    except (KeyError, TypeError, ValueError, IndexError) as e:
+    except (AttributeError, KeyError, TypeError, ValueError, IndexError) as e:
         raise ConfigError(f"bad threshold config: {e!r}") from None
 
 
@@ -102,9 +112,10 @@ def floodfill_from_dict(d: dict) -> FloodFillConfig:
         raise ConfigError("floodfill config requires 'seed' and 'tolerance'")
     try:
         conn = Connectivity(int(d.get("connectivity", 6)))
-    except ValueError:
+    except (TypeError, ValueError):
         raise ConfigError(f"unknown connectivity {d.get('connectivity')!r}") from None
-    return FloodFillConfig(_seed(d["seed"], "floodfill"), float(d["tolerance"]), conn)
+    return FloodFillConfig(_seed(d["seed"], "floodfill"),
+                           _coerce(float, d["tolerance"], "floodfill tolerance"), conn)
 
 
 def regiongrow_from_dict(d: dict) -> RegionGrowConfig:
@@ -114,19 +125,21 @@ def regiongrow_from_dict(d: dict) -> RegionGrowConfig:
         raise ConfigError("regiongrow config requires 'seed'")
     try:
         conn = Connectivity(int(d.get("in_slice_connectivity", 4)))
-    except ValueError:
+    except (TypeError, ValueError):
         raise ConfigError(f"unknown connectivity {d.get('in_slice_connectivity')!r}") from None
     return RegionGrowConfig(
         seed=_seed(d["seed"], "regiongrow"),
-        k=float(d.get("k", 0.3)),
-        R=float(d.get("R", 100.0)),
-        window=int(d.get("window", 3)),
+        k=_coerce(float, d.get("k", 0.3), "regiongrow k"),
+        R=_coerce(float, d.get("R", 100.0), "regiongrow R"),
+        window=_coerce(int, d.get("window", 3), "regiongrow window"),
         in_slice_connectivity=conn,
         propagate_slices=bool(d.get("propagate_slices", True)),
     )
 
 
 def policies_from_list(items) -> list:
+    if not isinstance(items, list):
+        raise ConfigError(f"postprocess must be a JSON list, got {items!r}")
     policies = []
     for item in items:
         if not isinstance(item, dict) or "policy" not in item:
@@ -137,7 +150,7 @@ def policies_from_list(items) -> list:
             policies.append(KeepLargest())
         elif kind == "min_size":
             _check_keys(item, ("policy", "voxels"), "min_size policy")
-            policies.append(MinSize(int(item["voxels"])))
+            policies.append(MinSize(_coerce(int, item.get("voxels"), "min_size voxels")))
         elif kind == "keep_seeded":
             _check_keys(item, ("policy", "seeds"), "keep_seeded policy")
             seeds = tuple(_seed(s, "keep_seeded") for s in item.get("seeds", ()))
@@ -282,8 +295,8 @@ def cmd_segment(args) -> int:
         work, box = dynamic_crop(work, pre)
         # validate original-coordinate overrides before shifting them
         if method == "threshold":
-            for z in (method_cfg.get("per_slice_overrides") or {}):
-                if not 0 <= int(z) < volume.dims[2]:
+            for z in (threshold_from_dict(method_cfg).per_slice_overrides or {}):
+                if not 0 <= z < volume.dims[2]:
                     raise ConfigError(f"per-slice override references slice {z}, "
                                       f"volume has {volume.dims[2]} slices")
 

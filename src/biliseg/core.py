@@ -75,11 +75,28 @@ class Connectivity(IntEnum):
 
     def structure(self) -> np.ndarray:
         """3x3x3 boolean structuring element (for scipy.ndimage.label)."""
-        s = np.zeros((3, 3, 3), dtype=bool)
-        s[1, 1, 1] = True
-        for ox, oy, oz in self.offsets():
-            s[1 + ox, 1 + oy, 1 + oz] = True
-        return s
+        return structure_from_offsets(self.offsets())
+
+
+def structure_from_offsets(offsets) -> np.ndarray:
+    """3x3x3 boolean structuring element: the center plus one cell per step.
+
+    ``offsets`` is an (n, 3) array of unit steps in {-1, 0, 1}^3. No step may
+    be zero, and the set must be closed under negation (a step ``d`` needs its
+    ``-d``), because adjacency under a labeling structure is symmetric.
+    """
+    offs = np.asarray(offsets)
+    if offs.ndim != 2 or offs.shape[1] != 3 or not np.isin(offs, (-1, 0, 1)).all():
+        raise ConfigError(f"offsets must be an (n, 3) array of steps in {{-1, 0, 1}}, got {offs.tolist()!r}")
+    offs = offs.astype(np.int64)
+    if (offs == 0).all(axis=1).any():
+        raise ConfigError("offsets must not contain the zero step")
+    s = np.zeros((3, 3, 3), dtype=bool)
+    s[tuple((offs + 1).T)] = True
+    if not np.array_equal(s, s[::-1, ::-1, ::-1]):
+        raise ConfigError(f"offsets must be closed under negation, got {offs.tolist()!r}")
+    s[1, 1, 1] = True
+    return s
 
 
 def _prepare_grid(data, dtype) -> np.ndarray:

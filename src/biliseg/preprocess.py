@@ -1,6 +1,7 @@
 """Contrast normalization and dynamic cropping applied before segmentation."""
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,11 @@ class PreprocessParams:
     crop_margin: int = 5
 
     def __post_init__(self):
+        for name in ("p_low", "p_high", "crop_percentile"):
+            if not isinstance(getattr(self, name), numbers.Real):
+                raise ConfigError(f"{name} must be a number, got {getattr(self, name)!r}")
+        if not isinstance(self.crop_margin, numbers.Integral):
+            raise ConfigError(f"crop_margin must be an integer, got {self.crop_margin!r}")
         if not 0.0 <= self.p_low < self.p_high <= 100.0:
             raise ConfigError(f"need 0 <= p_low < p_high <= 100, got ({self.p_low}, {self.p_high})")
         if not 0.0 <= self.crop_percentile <= 100.0:

@@ -2,17 +2,21 @@
 region growing, plus component-filtering post-processing.
 
 All methods are pure functions of (volume, config) and deterministic. Flood
-fill and region growing share one frontier-based growth engine whose result is
-the unique maximal set reachable from the seed through voxels satisfying the
-method's acceptance predicate, so it does not depend on traversal order.
+fill and region growing share one growth engine whose result is the unique
+maximal set reachable from the seed through voxels satisfying the method's
+acceptance predicate: the seed's connected component under the method's
+steps, found by one connected-component labeling call, so it does not depend
+on any traversal order.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import ndimage
 
-from .core import Connectivity, Mask, Volume, connected_components, require_in_bounds
+from .core import (Connectivity, Mask, Volume, connected_components, require_in_bounds,
+                   structure_from_offsets)
 from .errors import ConfigError, DegenerateInputError
 
 SeedPoint = tuple[int, int, int]
@@ -133,32 +137,20 @@ def dual_threshold(volume: Volume, cfg: ThresholdConfig) -> Mask:
 
 def grow_from_seed(allowed: np.ndarray, seed: SeedPoint, offsets: np.ndarray) -> np.ndarray:
     """Voxels reachable from ``seed`` through ``allowed`` voxels, stepping by
-    ``offsets``. The seed is always included. Frontier-at-a-time expansion;
-    the reachable set is unique, so the result is traversal-order independent.
+    ``offsets``. The seed is always included.
+
+    ``offsets`` must be nonzero unit steps in {-1, 0, 1}^3, closed under
+    negation (see ``structure_from_offsets``); anything else raises
+    ConfigError. With such steps, reachability is symmetric, so the reachable
+    set is exactly the seed's connected component of ``allowed | {seed}``; it
+    comes from one ``scipy.ndimage.label`` call and depends on no traversal
+    order.
     """
-    nx, ny, nz = allowed.shape
-    reached = np.zeros(allowed.shape, dtype=bool)
-    reached[seed] = True
-    frontier = np.array([seed], dtype=np.int64)
-    while frontier.size:
-        cand = (frontier[:, None, :] + offsets[None, :, :]).reshape(-1, 3)
-        inb = (
-            (cand[:, 0] >= 0) & (cand[:, 0] < nx)
-            & (cand[:, 1] >= 0) & (cand[:, 1] < ny)
-            & (cand[:, 2] >= 0) & (cand[:, 2] < nz)
-        )
-        cand = cand[inb]
-        if cand.size == 0:
-            break
-        flat = np.unique((cand[:, 0] * ny + cand[:, 1]) * nz + cand[:, 2])
-        cx, cy, cz = np.unravel_index(flat, allowed.shape)
-        keep = allowed[cx, cy, cz] & ~reached[cx, cy, cz]
-        cx, cy, cz = cx[keep], cy[keep], cz[keep]
-        if cx.size == 0:
-            break
-        reached[cx, cy, cz] = True
-        frontier = np.stack([cx, cy, cz], axis=1)
-    return reached
+    structure = structure_from_offsets(offsets)
+    region = np.array(allowed, dtype=bool)
+    region[seed] = True
+    labels, _ = ndimage.label(region, structure=structure)
+    return labels == labels[seed]
 
 
 def flood_fill(volume: Volume, cfg: FloodFillConfig) -> Mask:

@@ -82,6 +82,25 @@ def flood_fill_bfs(data: np.ndarray, seed, tolerance: float, offsets) -> set:
     return seen
 
 
+def reachable_bfs(allowed: np.ndarray, seed, offsets) -> set:
+    """Reference reachability: breadth-first search from ``seed`` through
+    ``allowed`` voxels, stepping by ``offsets``. The seed is always reached."""
+    from collections import deque
+
+    dims = allowed.shape
+    seed = tuple(int(c) for c in seed)
+    seen = {seed}
+    queue = deque([seed])
+    while queue:
+        p = queue.popleft()
+        for off in offsets:
+            q = (p[0] + off[0], p[1] + off[1], p[2] + off[2])
+            if all(0 <= c < n for c, n in zip(q, dims)) and q not in seen and allowed[q]:
+                seen.add(q)
+                queue.append(q)
+    return seen
+
+
 def hausdorff_brute(a: np.ndarray, b: np.ndarray, spacing) -> tuple[float, float, float]:
     """All-pairs max-min distances: (directed a->b, directed b->a, symmetric)."""
     sp = np.asarray(spacing, dtype=np.float64)

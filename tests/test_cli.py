@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,9 +25,37 @@ PHANTOM = {
 }
 
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
 def write_json(path, doc):
     path.write_text(json.dumps(doc, indent=2))
     return str(path)
+
+
+@pytest.fixture(scope="module")
+def demo_volume(tmp_path_factory):
+    """The demo phantom from configs/phantom_demo.json, made once per module."""
+    d = tmp_path_factory.mktemp("demo")
+    vol = d / "vol.nii"
+    assert main(["phantom", "--config", str(CONFIGS / "phantom_demo.json"),
+                 "--out-volume", str(vol), "--out-truth", str(d / "truth.nii")]) == 0
+    return vol
+
+
+# configs/segment_demo.json with one value made invalid: (method, edit)
+BAD_SEGMENT_VALUES = {
+    "floodfill-not-an-object": ("floodfill", lambda c: c.update(floodfill=5)),
+    "tolerance": ("floodfill", lambda c: c["floodfill"].update(tolerance="x")),
+    "k": ("regiongrow", lambda c: c["regiongrow"].update(k="x")),
+    "R": ("regiongrow", lambda c: c["regiongrow"].update(R="x")),
+    "window": ("regiongrow", lambda c: c["regiongrow"].update(window="x")),
+    "override-slice-key": ("threshold", lambda c: c["threshold"].update(
+        per_slice_overrides={"abc": [100, 200]})),
+    "p_low": ("regiongrow", lambda c: c["preprocess"].update(p_low="1")),
+    "min_size-voxels": ("regiongrow", lambda c: c.update(
+        postprocess=[{"policy": "min_size", "voxels": "abc"}])),
+}
 
 
 @pytest.fixture()
@@ -176,6 +205,20 @@ class TestSegmentCommand:
         })
         assert main(["segment", "--in", str(vol), "--out", str(tmp_path / "m.nii"),
                      "--config", cfg]) == 2
+
+    @pytest.mark.parametrize("case", sorted(BAD_SEGMENT_VALUES))
+    def test_bad_config_value_exit_2(self, tmp_path, demo_volume, capsys, case):
+        method, edit = BAD_SEGMENT_VALUES[case]
+        doc = json.loads((CONFIGS / "segment_demo.json").read_text())
+        doc["method"] = method
+        edit(doc)
+        cfg = write_json(tmp_path / "bad.json", doc)
+        out = tmp_path / "m.nii"
+        # main() returning at all means no exception escaped it
+        assert main(["segment", "--in", str(demo_volume), "--out", str(out), "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
 
     def test_crop_pipeline_maps_back_to_full_grid(self, tmp_path, phantom_files):
         vol, truth = phantom_files

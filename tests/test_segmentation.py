@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from biliseg import (BoundsError, ConfigError, Connectivity, DegenerateInputError,
                      FloodFillConfig, KeepLargest, KeepSeeded, Mask, MinSize,
                      RegionGrowConfig, Spacing, ThresholdConfig, Volume,
-                     dual_threshold, flood_fill, postprocess, region_grow,
+                     dual_threshold, flood_fill, grow_from_seed, postprocess, region_grow,
                      sauvola_threshold, sauvola_threshold_field)
 from biliseg.phantom import CenterlineTree, PhantomParams, TubeSegment, rasterize_tree, render_intensities
-from conftest import flood_fill_bfs
+from conftest import flood_fill_bfs, reachable_bfs
 
 SP = Spacing(1.0, 1.0, 1.0)
 
@@ -77,7 +78,7 @@ class TestFloodFill:
             FloodFillConfig(seed=(0, 0, 0), tolerance=-1.0)
 
     @pytest.mark.parametrize("dims", [(16, 16, 1), (8, 8, 4)])
-    @pytest.mark.parametrize("conn", [Connectivity.FACE6, Connectivity.VERTEX26])
+    @pytest.mark.parametrize("conn", list(Connectivity))
     def test_matches_bfs_oracle(self, dims, conn):
         rng = np.random.default_rng(hash((dims, int(conn))) % 2**32)
         offsets = [tuple(o) for o in conn.offsets()]
@@ -115,6 +116,51 @@ class TestFloodFill:
                                                   connectivity=Connectivity.EDGE4))
         assert m.data[:, :, 1].all()
         assert not m.data[:, :, 0].any() and not m.data[:, :, 2].any()
+
+
+Z_STEPS = np.array([[0, 0, 1], [0, 0, -1]])
+
+
+@st.composite
+def growth_cases(draw):
+    """A small allowed map (1-voxel dimensions included), a seed that lies
+    inside or outside it, and one connectivity's steps with or without the
+    +-z steps."""
+    dims = tuple(draw(st.integers(1, 6)) for _ in range(3))
+    bits = draw(st.lists(st.booleans(), min_size=int(np.prod(dims)), max_size=int(np.prod(dims))))
+    allowed = np.array(bits, dtype=bool).reshape(dims)
+    seed = tuple(draw(st.integers(0, n - 1)) for n in dims)
+    allowed[seed] = draw(st.booleans())
+    offsets = draw(st.sampled_from(list(Connectivity))).offsets()
+    if draw(st.booleans()):
+        offsets = np.concatenate([offsets, Z_STEPS], axis=0)
+    return allowed, seed, offsets
+
+
+class TestGrowFromSeed:
+    @settings(max_examples=300, deadline=None)
+    @given(growth_cases())
+    def test_matches_bfs_reachability(self, case):
+        allowed, seed, offsets = case
+        before = allowed.copy()
+        got = grow_from_seed(allowed, seed, offsets)
+        assert got.dtype == bool and got.shape == allowed.shape
+        assert {tuple(p) for p in np.argwhere(got)} == reachable_bfs(allowed, seed, offsets)
+        assert (allowed == before).all()  # the input map is left untouched
+
+    @pytest.mark.parametrize("offsets", [
+        [[1, 0, 0]],                              # -x missing: not closed under negation
+        [[1, 1, 0], [-1, -1, 0], [0, 1, 0]],      # -y missing
+        [[0, 0, 0]],                              # zero step
+        [[2, 0, 0], [-2, 0, 0]],                  # not a unit step
+        [[0.5, 0, 0], [-0.5, 0, 0]],              # not an integer step
+        [1, 0, 0],                                # not an (n, 3) array
+        [[1, 0], [-1, 0]],
+    ])
+    def test_rejects_bad_offsets(self, offsets):
+        allowed = np.ones((3, 3, 3), dtype=bool)
+        with pytest.raises(ConfigError):
+            grow_from_seed(allowed, (1, 1, 1), np.array(offsets))
 
 
 class TestSauvola:
@@ -225,14 +271,18 @@ class TestRegionGrow:
 
     def test_matches_slicewise_fixpoint_reference(self):
         rng = np.random.default_rng(24)
-        for case in range(6):
-            data = _smooth_random_volume(rng, (10, 9, 5))
-            seed = tuple(int(rng.integers(0, n)) for n in data.shape)
-            propagate = case % 2 == 0
-            cfg = RegionGrowConfig(seed=seed, propagate_slices=propagate)
-            got = region_grow(vol(data), cfg)
-            want = _region_grow_reference(data, seed, 0.3, 100.0, 3, propagate)
-            assert (got.data == want).all()
+        runs = [(_smooth_random_volume, Connectivity.EDGE4), (_smooth_random_volume, Connectivity.VERTEX8),
+                (_speckled_volume, Connectivity.EDGE4), (_speckled_volume, Connectivity.VERTEX8)]
+        for make_volume, conn in runs:
+            for case in range(6):
+                data = make_volume(rng, (10, 9, 5))
+                seed = tuple(int(rng.integers(0, n)) for n in data.shape)
+                propagate = case % 2 == 0
+                cfg = RegionGrowConfig(seed=seed, in_slice_connectivity=conn,
+                                       propagate_slices=propagate)
+                got = region_grow(vol(data), cfg)
+                want = _region_grow_reference(data, seed, 0.3, 100.0, 3, propagate, conn)
+                assert (got.data == want).all()
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -255,6 +305,12 @@ def _smooth_random_volume(rng, dims):
     return data.astype(np.float32)
 
 
+def _speckled_volume(rng, dims):
+    """Isolated bright pixels on a dark floor, so diagonal steps decide what
+    joins up (every intensity clears or misses its threshold by a wide margin)."""
+    return np.where(rng.random(dims) < 0.35, 200.0, 20.0).astype(np.float32)
+
+
 def _shift2d(arr, ox, oy):
     out = np.zeros_like(arr)
     src_x = slice(max(0, -ox), arr.shape[0] - max(0, ox))
@@ -265,10 +321,11 @@ def _shift2d(arr, ox, oy):
     return out
 
 
-def _region_grow_reference(data, seed, k, R, window, propagate):
+def _region_grow_reference(data, seed, k, R, window, propagate, conn=Connectivity.EDGE4):
     """Literal slice-by-slice fixpoint: grow each slice to convergence, then
     hand accepted voxels to the adjacent slices; repeat until nothing changes.
-    Acceptance thresholds are recomputed per pixel with plain numpy calls."""
+    Acceptance thresholds are recomputed per pixel with plain numpy calls.
+    ``conn`` (EDGE4 or VERTEX8) picks the in-slice steps."""
     nx, ny, nz = data.shape
     h = window // 2
     acc = np.zeros(data.shape, bool)
@@ -281,7 +338,8 @@ def _region_grow_reference(data, seed, k, R, window, propagate):
                 acc[x, y, z] = sl[x, y] >= t
     mask = np.zeros(data.shape, bool)
     mask[seed] = True
-    offsets2d = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+    offsets2d = [(ox, oy) for ox in (-1, 0, 1) for oy in (-1, 0, 1)
+                 if (ox, oy) != (0, 0) and (conn == Connectivity.VERTEX8 or ox == 0 or oy == 0)]
     changed = True
     while changed:
         changed = False
