@@ -9,10 +9,12 @@ package README.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import types
+import typing
+from enum import IntEnum
 
 import numpy as np
 
@@ -32,7 +34,6 @@ from .segmentation import (FloodFillConfig, KeepLargest, KeepSeeded, MinSize,
 from .stats import mean_std, one_way_anova
 from ._util import atomic_write_text
 
-METHODS = ("threshold", "floodfill", "regiongrow")
 _METRIC_KEYS = {
     "DSC": "dsc",
     "HD_mm": "hd_mm",
@@ -43,24 +44,22 @@ _METRIC_KEYS = {
 }
 
 
-def thread_cap() -> int:
-    """Parallelism cap from BILISEG_THREADS (0 or unset = auto)."""
-    raw = os.environ.get("BILISEG_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"BILISEG_THREADS must be an integer >= 0, got {raw!r}") from None
-    if n < 0:
-        raise ConfigError(f"BILISEG_THREADS must be >= 0, got {n}")
-    return n if n > 0 else (os.cpu_count() or 1)
-
-
 # ---------------------------------------------------------------------------
-# JSON config parsing
+# JSON config codec
+#
+# One typing rule per field type, read from the config dataclasses' fields and
+# type hints: a float is a finite JSON number, an int a JSON integer, a bool
+# true/false, a Connectivity one of its integer values, a tuple a list of the
+# exact length, a dict[int, X] an object whose keys parse as integers, and a
+# dataclass-typed field (Spacing) a list passed to the class positionally.
+# Range checks stay in the classes' __post_init__ methods.
 
 def _load_json(path):
     with open(path, "r", encoding="utf-8") as f:
-        return json.load(f)
+        try:
+            return json.load(f)
+        except (ValueError, RecursionError) as e:  # also bad UTF-8, over-long ints, deep nesting
+            raise ConfigError(f"malformed JSON in {path}: {e}") from None
 
 
 def _check_keys(d: dict, allowed, where: str) -> None:
@@ -71,134 +70,107 @@ def _check_keys(d: dict, allowed, where: str) -> None:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}; allowed: {sorted(allowed)}")
 
 
-def _seed(value, where: str):
-    try:
-        seed = tuple(int(v) for v in value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}: seed must be three integers, got {value!r}") from None
-    if len(seed) != 3:
-        raise ConfigError(f"{where}: seed must be three integers, got {value!r}")
-    return seed
+def _from_json(cls, value, where: str):
+    """The ``cls`` instance a JSON object describes; errors name the field path."""
+    fields = dataclasses.fields(cls)
+    _check_keys(value, [f.name for f in fields], where)
+    missing = [f"{where}.{f.name}" for f in fields if f.name not in value
+               and f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
+    if missing:
+        raise ConfigError(f"missing required field(s) {missing}")
+    hints = typing.get_type_hints(cls)
+    return cls(**{name: _decode(hints[name], v, f"{where}.{name}") for name, v in value.items()})
 
 
-def _coerce(kind, value, where: str):
-    """``kind(value)``, with a ConfigError naming ``where`` if it fails."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where} must be {kind.__name__}, got {value!r}") from None
+def _decode(hint, value, where: str):
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    integer = isinstance(value, int) and not isinstance(value, bool)
+    if origin is types.UnionType:  # X | None
+        if value is None:
+            return None
+        (hint,) = (a for a in args if a is not type(None))
+        return _decode(hint, value, where)
+    if hint is bool:
+        if isinstance(value, bool):
+            return value
+        expected = "true or false"
+    elif hint is float:
+        # the comparison is exact for ints too, so it also rejects an int no float can hold
+        if (integer or isinstance(value, float)) and abs(value) <= sys.float_info.max:
+            return float(value)
+        expected = "a finite number"
+    elif hint is int:
+        if integer:
+            return value
+        expected = "an integer"
+    elif isinstance(hint, type) and issubclass(hint, IntEnum):
+        members = [m.value for m in hint]
+        if integer and value in members:
+            return hint(value)
+        expected = f"one of {members}"
+    elif origin is tuple:
+        if isinstance(value, list):
+            items = args[:1] * len(value) if args[1:] == (...,) else args
+            if len(value) == len(items):
+                return tuple(_decode(h, v, f"{where}[{i}]") for i, (h, v) in enumerate(zip(items, value)))
+        expected = "a list" if args[1:] == (...,) else f"a list of {len(args)} values"
+    elif origin is dict:
+        if isinstance(value, dict):
+            try:
+                keys = [int(k) for k in value]
+            except ValueError:
+                raise ConfigError(f"{where} keys must be integers, got {list(value)}") from None
+            return {k: _decode(args[1], v, f"{where}.{k}") for k, v in zip(keys, value.values())}
+        expected = "an object"
+    else:  # a dataclass-typed field such as Spacing
+        hints = typing.get_type_hints(hint)
+        items = tuple[tuple(hints[f.name] for f in dataclasses.fields(hint))]
+        return hint(*_decode(items, value, where))
+    raise ConfigError(f"{where} must be {expected}, got {value!r}")
 
 
-def preprocess_from_dict(d: dict) -> PreprocessParams:
-    _check_keys(d, ("p_low", "p_high", "crop_enabled", "crop_percentile", "crop_margin"), "preprocess")
-    return PreprocessParams(**d)
+def _to_json(obj) -> dict:
+    """Inverse of ``_from_json``: the fields of ``obj`` in declaration order."""
+    return {f.name: _encode(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
 
 
-def threshold_from_dict(d: dict) -> ThresholdConfig:
-    _check_keys(d, ("t_min", "t_max", "per_slice_overrides"), "threshold config")
-    try:
-        overrides = {
-            int(z): (float(pair[0]), float(pair[1]))
-            for z, pair in (d.get("per_slice_overrides") or {}).items()
-        }
-        return ThresholdConfig(float(d["t_min"]), float(d["t_max"]), overrides or None)
-    except (AttributeError, KeyError, TypeError, ValueError, IndexError) as e:
-        raise ConfigError(f"bad threshold config: {e!r}") from None
+def _encode(value):
+    if dataclasses.is_dataclass(value):
+        return list(_to_json(value).values())
+    if isinstance(value, IntEnum):
+        return int(value)
+    if isinstance(value, dict):
+        return {str(k): _encode(v) for k, v in sorted(value.items())}
+    if isinstance(value, tuple):
+        return [_encode(v) for v in value]
+    return {} if value is None else value  # an unset per_slice_overrides
 
 
-def floodfill_from_dict(d: dict) -> FloodFillConfig:
-    _check_keys(d, ("seed", "tolerance", "connectivity"), "floodfill config")
-    if "seed" not in d or "tolerance" not in d:
-        raise ConfigError("floodfill config requires 'seed' and 'tolerance'")
-    try:
-        conn = Connectivity(int(d.get("connectivity", 6)))
-    except (TypeError, ValueError):
-        raise ConfigError(f"unknown connectivity {d.get('connectivity')!r}") from None
-    return FloodFillConfig(_seed(d["seed"], "floodfill"),
-                           _coerce(float, d["tolerance"], "floodfill tolerance"), conn)
+POLICIES = {"keep_largest": KeepLargest, "min_size": MinSize, "keep_seeded": KeepSeeded}
+_POLICY_NAMES = {cls: name for name, cls in POLICIES.items()}
+METHODS = {"threshold": (ThresholdConfig, dual_threshold),
+           "floodfill": (FloodFillConfig, flood_fill),
+           "regiongrow": (RegionGrowConfig, region_grow)}
 
 
-def regiongrow_from_dict(d: dict) -> RegionGrowConfig:
-    _check_keys(d, ("seed", "k", "R", "window", "in_slice_connectivity", "propagate_slices"),
-                "regiongrow config")
-    if "seed" not in d:
-        raise ConfigError("regiongrow config requires 'seed'")
-    try:
-        conn = Connectivity(int(d.get("in_slice_connectivity", 4)))
-    except (TypeError, ValueError):
-        raise ConfigError(f"unknown connectivity {d.get('in_slice_connectivity')!r}") from None
-    return RegionGrowConfig(
-        seed=_seed(d["seed"], "regiongrow"),
-        k=_coerce(float, d.get("k", 0.3), "regiongrow k"),
-        R=_coerce(float, d.get("R", 100.0), "regiongrow R"),
-        window=_coerce(int, d.get("window", 3), "regiongrow window"),
-        in_slice_connectivity=conn,
-        propagate_slices=bool(d.get("propagate_slices", True)),
-    )
-
-
-def policies_from_list(items) -> list:
+def _policies_from_json(items) -> list:
     if not isinstance(items, list):
         raise ConfigError(f"postprocess must be a JSON list, got {items!r}")
     policies = []
-    for item in items:
-        if not isinstance(item, dict) or "policy" not in item:
-            raise ConfigError(f"each postprocess entry needs a 'policy' key, got {item!r}")
-        kind = item["policy"]
-        if kind == "keep_largest":
-            _check_keys(item, ("policy",), "keep_largest policy")
-            policies.append(KeepLargest())
-        elif kind == "min_size":
-            _check_keys(item, ("policy", "voxels"), "min_size policy")
-            policies.append(MinSize(_coerce(int, item.get("voxels"), "min_size voxels")))
-        elif kind == "keep_seeded":
-            _check_keys(item, ("policy", "seeds"), "keep_seeded policy")
-            seeds = tuple(_seed(s, "keep_seeded") for s in item.get("seeds", ()))
-            if not seeds:
-                raise ConfigError("keep_seeded policy needs at least one seed")
-            policies.append(KeepSeeded(seeds))
-        else:
-            raise ConfigError(f"unknown postprocess policy {kind!r}")
+    for i, item in enumerate(items):
+        where = f"postprocess[{i}]"
+        name = item.get("policy") if isinstance(item, dict) else None
+        if not isinstance(name, str) or name not in POLICIES:
+            raise ConfigError(f"{where} needs a 'policy' key, one of {list(POLICIES)}, got {item!r}")
+        policies.append(_from_json(POLICIES[name], {k: v for k, v in item.items() if k != "policy"}, where))
     return policies
-
-
-def phantom_params_from_dict(d: dict) -> PhantomParams:
-    allowed = ("dims", "spacing", "root", "root_direction", "segment_length", "radius_root",
-               "radius_taper", "branch_probability", "branch_angle", "max_depth",
-               "fg_mean", "bg_mean", "noise_std", "rng_seed")
-    _check_keys(d, allowed, "phantom params")
-    required = ("dims", "spacing", "root", "root_direction", "segment_length", "radius_root")
-    missing = [k for k in required if k not in d]
-    if missing:
-        raise ConfigError(f"phantom params missing {missing}")
-    try:
-        kwargs = dict(d)
-        kwargs["dims"] = tuple(int(v) for v in d["dims"])
-        kwargs["spacing"] = tuple(float(v) for v in d["spacing"])
-        kwargs["root"] = tuple(float(v) for v in d["root"])
-        kwargs["root_direction"] = tuple(float(v) for v in d["root_direction"])
-        return PhantomParams(**kwargs)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"bad phantom params: {e!r}") from None
-
-
-def _policies_to_json(policies) -> list:
-    out = []
-    for p in policies:
-        if isinstance(p, KeepLargest):
-            out.append({"policy": "keep_largest"})
-        elif isinstance(p, MinSize):
-            out.append({"policy": "min_size", "voxels": p.voxels})
-        elif isinstance(p, KeepSeeded):
-            out.append({"policy": "keep_seeded", "seeds": [list(s) for s in p.seeds]})
-    return out
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 def cmd_phantom(args) -> int:
-    params = phantom_params_from_dict(_load_json(args.config))
+    params = _from_json(PhantomParams, _load_json(args.config), "phantom")
     tree = generate_tree(params)
     truth = rasterize_tree(tree, params.dims, params.spacing)
     volume = render_intensities(truth, params)
@@ -211,7 +183,8 @@ def cmd_phantom(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
-    pre = preprocess_from_dict(_load_json(args.config)) if args.config else PreprocessParams()
+    pre = (_from_json(PreprocessParams, _load_json(args.config), "preprocess")
+           if args.config else PreprocessParams())
     volume = read_nifti(args.input)
     out = percentile_stretch(volume, pre)
     if pre.crop_enabled:
@@ -230,80 +203,52 @@ def _shift_seed(seed, box):
     return tuple(s - l for s, l in zip(seed, box.lo))
 
 
-def _run_method(method: str, work, cfg: dict, box):
+def _run_method(method: str, work, cfg, box, nz: int):
     """Run one segmentation method on the (possibly cropped) working volume.
 
-    Seeds and per-slice overrides in the config are in original-grid
-    coordinates; they are shifted into crop coordinates here.
+    Seeds and per-slice overrides in ``cfg`` are in original-grid coordinates
+    (``nz`` slices); with a crop ``box`` they are moved into crop coordinates
+    here, and overrides for slices outside the crop, which cannot affect the
+    output, are dropped.
     """
-    z0 = box.lo[2] if box else 0
-    if method == "threshold":
-        tc = threshold_from_dict(cfg)
-        if box and tc.per_slice_overrides:
-            kept = {z - z0: pair for z, pair in tc.per_slice_overrides.items()
-                    if box.lo[2] <= z <= box.hi[2]}
-            tc = ThresholdConfig(tc.t_min, tc.t_max, kept or None)
-        return dual_threshold(work, tc), tc
-    if method == "floodfill":
-        fc = floodfill_from_dict(cfg)
-        if box:
-            fc = FloodFillConfig(_shift_seed(fc.seed, box), fc.tolerance, fc.connectivity)
-        return flood_fill(work, fc), fc
-    rc = regiongrow_from_dict(cfg)
-    if box:
-        rc = RegionGrowConfig(_shift_seed(rc.seed, box), rc.k, rc.R,
-                              rc.window, rc.in_slice_connectivity, rc.propagate_slices)
-    return region_grow(work, rc), rc
-
-
-def _method_to_json(method: str, cfg) -> dict:
-    if method == "threshold":
+    if box is not None and method == "threshold":
         overrides = cfg.per_slice_overrides or {}
-        return {"t_min": cfg.t_min, "t_max": cfg.t_max,
-                "per_slice_overrides": {str(z): list(pair) for z, pair in sorted(overrides.items())}}
-    if method == "floodfill":
-        return {"seed": list(cfg.seed), "tolerance": cfg.tolerance,
-                "connectivity": int(cfg.connectivity)}
-    return {"seed": list(cfg.seed), "k": cfg.k, "R": cfg.R, "window": cfg.window,
-            "in_slice_connectivity": int(cfg.in_slice_connectivity),
-            "propagate_slices": cfg.propagate_slices}
+        for z in overrides:
+            if not 0 <= z < nz:
+                raise ConfigError(f"per-slice override references slice {z}, volume has {nz} slices")
+        kept = {z - box.lo[2]: pair for z, pair in overrides.items() if box.lo[2] <= z <= box.hi[2]}
+        cfg = dataclasses.replace(cfg, per_slice_overrides=kept or None)
+    elif box is not None:
+        cfg = dataclasses.replace(cfg, seed=_shift_seed(cfg.seed, box))
+    return METHODS[method][1](work, cfg)
 
 
 def cmd_segment(args) -> int:
     cfg = _load_json(args.config)
-    if not isinstance(cfg, dict):
-        raise ConfigError("segment config must be a JSON object")
-    _check_keys(cfg, ("method", "preprocess", "threshold", "floodfill", "regiongrow",
-                      "postprocess", "input", "output", "tool", "version", "command", "derived"),
+    _check_keys(cfg, ("method", "preprocess", *METHODS, "postprocess",
+                      "input", "output", "tool", "version", "command", "derived"),
                 "segment config")
     method = args.method or cfg.get("method")
-    if method not in METHODS:
-        raise ConfigError(f"method must be one of {METHODS}, got {method!r}")
+    if not isinstance(method, str) or method not in METHODS:
+        raise ConfigError(f"method must be one of {list(METHODS)}, got {method!r}")
     in_path = args.input or cfg.get("input")
     out_path = args.output or cfg.get("output")
-    if not in_path or not out_path:
+    if not all(isinstance(p, str) and p for p in (in_path, out_path)):
         raise ConfigError("segment needs an input and an output path (flags or config)")
-    method_cfg = cfg.get(method)
-    if method_cfg is None:
+    if cfg.get(method) is None:
         raise ConfigError(f"segment config has no '{method}' section")
+    method_cfg = _from_json(METHODS[method][0], cfg[method], method)
+    pre = _from_json(PreprocessParams, cfg.get("preprocess", {}), "preprocess")
+    policies = _policies_from_json(cfg.get("postprocess", []))
 
-    pre = preprocess_from_dict(cfg.get("preprocess", {}))
     volume = read_nifti(in_path)
     work = percentile_stretch(volume, pre)
     box = None
     if pre.crop_enabled:
         work, box = dynamic_crop(work, pre)
-        # validate original-coordinate overrides before shifting them
-        if method == "threshold":
-            for z in (threshold_from_dict(method_cfg).per_slice_overrides or {}):
-                if not 0 <= z < volume.dims[2]:
-                    raise ConfigError(f"per-slice override references slice {z}, "
-                                      f"volume has {volume.dims[2]} slices")
-
-    local_mask, effective = _run_method(method, work, method_cfg, box)
+    local_mask = _run_method(method, work, method_cfg, box, volume.dims[2])
     mask = embed_mask(local_mask, box, volume.dims) if box else local_mask
 
-    policies = policies_from_list(cfg.get("postprocess", []))
     degenerate = False
     try:
         mask = postprocess(mask, policies)
@@ -312,6 +257,8 @@ def cmd_segment(args) -> int:
         degenerate = True
 
     write_nifti(mask, out_path)
+    # provenance keeps the config as parsed, in original-grid coordinates, so
+    # that a rerun with the sidecar as --config reproduces the run end to end
     sidecar = {
         "tool": "biliseg",
         "version": __version__,
@@ -319,10 +266,9 @@ def cmd_segment(args) -> int:
         "input": str(in_path),
         "output": str(out_path),
         "method": method,
-        "preprocess": {"p_low": pre.p_low, "p_high": pre.p_high, "crop_enabled": pre.crop_enabled,
-                       "crop_percentile": pre.crop_percentile, "crop_margin": pre.crop_margin},
-        method: _sidecar_method(method, method_cfg, box, effective),
-        "postprocess": _policies_to_json(policies),
+        "preprocess": _to_json(pre),
+        method: _to_json(method_cfg),
+        "postprocess": [{"policy": _POLICY_NAMES[type(p)], **_to_json(p)} for p in policies],
         "derived": {
             "crop_bbox": {"lo": list(box.lo), "hi": list(box.hi)} if box else None,
             "mask_voxels": mask.count(),
@@ -336,23 +282,6 @@ def cmd_segment(args) -> int:
         print("segment: degenerate result (empty mask)", file=sys.stderr)
         return 4
     return 0
-
-
-def _sidecar_method(method: str, method_cfg: dict, box, effective) -> dict:
-    # provenance keeps original-grid coordinates so a rerun reproduces the
-    # pipeline end to end; when no crop happened the effective config is
-    # identical and also carries the defaults the run actually used
-    if box is None:
-        return _method_to_json(method, effective)
-    merged = _method_to_json(method, effective)
-    if method in ("floodfill", "regiongrow"):
-        merged["seed"] = [int(v) for v in method_cfg["seed"]]
-    if method == "threshold":
-        merged["per_slice_overrides"] = {
-            str(int(z)): [float(p[0]), float(p[1])]
-            for z, p in sorted((method_cfg.get("per_slice_overrides") or {}).items(), key=lambda kv: int(kv[0]))
-        }
-    return merged
 
 
 def cmd_evaluate(args) -> int:
@@ -379,8 +308,7 @@ def cmd_compare(args) -> int:
             raise ConfigError(f"duplicate method name {name!r}")
         groups[name] = paths
 
-    with ThreadPoolExecutor(max_workers=thread_cap()) as pool:
-        loaded = {name: list(pool.map(_load_json, paths)) for name, paths in groups.items()}
+    loaded = {name: [_load_json(p) for p in paths] for name, paths in groups.items()}
 
     rows = []
     per_column: dict[str, list[list[float]]] = {col: [] for col in REPORT_COLUMNS[1:]}
@@ -474,9 +402,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ConfigError, GeometryError, FormatError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as e:
-        print(f"error: malformed JSON: {e}", file=sys.stderr)
         return 2
     except DegenerateInputError as e:
         print(f"error: degenerate input: {e}", file=sys.stderr)

@@ -113,6 +113,8 @@ def read_nifti(path, as_mask: bool = False):
     pixdim = [float(hdr["pixdim"][i]) for i in (1, 2, 3)]
     if any(not np.isfinite(p) or p <= 0 for p in pixdim):
         raise FormatError(f"non-positive pixdim {pixdim} (byte offset 76)")
+    if not np.isfinite(hdr["vox_offset"]):
+        raise FormatError(f"non-finite vox_offset {float(hdr['vox_offset'])} (byte offset 108)")
     vox_offset = int(hdr["vox_offset"])
     if vox_offset < HEADER_SIZE:
         raise FormatError(f"vox_offset {vox_offset} overlaps the header (byte offset 108)")

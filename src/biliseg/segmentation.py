@@ -103,6 +103,10 @@ class KeepSeeded:
 
     seeds: tuple[SeedPoint, ...]
 
+    def __post_init__(self):
+        if not self.seeds:
+            raise ConfigError("keep_seeded needs at least one seed")
+
 
 @dataclass(frozen=True)
 class MinSize:
@@ -192,7 +196,7 @@ def sauvola_threshold_field(slice_values: np.ndarray, k: float = 0.3,
     """
     a = np.asarray(slice_values, dtype=np.float64)
     nx, ny = a.shape
-    h = window // 2
+    h = min(window // 2, max(nx, ny))  # any wider window covers the whole slice alike
     S = np.zeros((nx + 1, ny + 1))
     S2 = np.zeros((nx + 1, ny + 1))
     S[1:, 1:] = a.cumsum(axis=0).cumsum(axis=1)

@@ -1,10 +1,13 @@
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from biliseg import Mask, Spacing, read_nifti, write_nifti
+from biliseg import Mask, Spacing, __version__, read_nifti, write_nifti
 from biliseg.cli import main
 
 PHANTOM = {
@@ -55,6 +58,17 @@ BAD_SEGMENT_VALUES = {
     "p_low": ("regiongrow", lambda c: c["preprocess"].update(p_low="1")),
     "min_size-voxels": ("regiongrow", lambda c: c.update(
         postprocess=[{"policy": "min_size", "voxels": "abc"}])),
+    "propagate_slices-string": ("regiongrow", lambda c: c["regiongrow"].update(propagate_slices="false")),
+    "crop_enabled-string": ("regiongrow", lambda c: c["preprocess"].update(crop_enabled="no")),
+    "window-fraction": ("regiongrow", lambda c: c["regiongrow"].update(window=5.9)),
+    "seed-fraction": ("regiongrow", lambda c: c["regiongrow"].update(seed=[48.9, 48, 2])),
+    "tolerance-bool": ("floodfill", lambda c: c["floodfill"].update(tolerance=True)),
+    "tolerance-nan": ("floodfill", lambda c: c["floodfill"].update(tolerance=float("nan"))),
+    "min_size-voxels-fraction": ("regiongrow", lambda c: c.update(
+        postprocess=[{"policy": "min_size", "voxels": 2.5}])),
+    "connectivity-string": ("floodfill", lambda c: c["floodfill"].update(connectivity="6")),
+    "k-numeric-string": ("regiongrow", lambda c: c["regiongrow"].update(k="0.5")),
+    "t_min-beyond-float": ("threshold", lambda c: c["threshold"].update(t_min=10**400)),
 }
 
 
@@ -87,6 +101,15 @@ class TestPhantomCommand:
         assert rc == 2
         assert not (tmp_path / "v.nii").exists()
         assert not (tmp_path / "t.nii").exists()
+
+    @pytest.mark.parametrize("blob", [b'{"dims": ' + b"1" * 5000 + b"}", b'{"dims": "\xff"}',
+                                      b"[" * 100000 + b"]" * 100000],
+                             ids=["long-integer", "not-utf8", "deep-nesting"])
+    def test_unreadable_json_exit_2(self, tmp_path, capsys, blob):
+        (tmp_path / "p.json").write_bytes(blob)
+        assert main(["phantom", "--config", str(tmp_path / "p.json"),
+                     "--out-volume", str(tmp_path / "v.nii"), "--out-truth", str(tmp_path / "t.nii")]) == 2
+        assert capsys.readouterr().err.startswith("error: malformed JSON")
 
     def test_invalid_params_exit_2(self, tmp_path):
         cfg = write_json(tmp_path / "p.json", dict(PHANTOM, fg_mean=0.0))
@@ -149,6 +172,62 @@ class TestSegmentCommand:
         replayed = tmp_path / "replayed.nii"
         assert main(["segment", "--out", str(replayed), "--config", str(sidecar)]) == 0
         assert first.read_bytes() == replayed.read_bytes()
+        assert sidecar.read_text().replace("first.nii", "replayed.nii") == \
+            (tmp_path / "replayed.nii.provenance.json").read_text()
+
+    @pytest.mark.parametrize("method", ["threshold", "floodfill", "regiongrow"])
+    def test_cropped_sidecar_replays_identically(self, tmp_path, method):
+        # a tube over the lower slices only, so the crop leaves out the upper ones
+        phantom = write_json(tmp_path / "p.json", dict(PHANTOM, dims=[32, 32, 16], segment_length=12.0))
+        vol = tmp_path / "vol.nii"
+        assert main(["phantom", "--config", phantom, "--out-volume", str(vol),
+                     "--out-truth", str(tmp_path / "truth.nii")]) == 0
+        cfg = write_json(tmp_path / "seg.json", {
+            "method": method,
+            "preprocess": {"p_low": 0.0, "p_high": 100.0, "crop_enabled": True,
+                           "crop_percentile": 99.0, "crop_margin": 2},
+            "threshold": {"t_min": 105.0, "t_max": 255.0,
+                          "per_slice_overrides": {"3": [100.0, 255.0], "14": [0.0, 255.0]}},
+            "floodfill": {"seed": [16, 16, 3], "tolerance": 50.0},
+            "regiongrow": {"seed": [16, 16, 3]},
+            "postprocess": [{"policy": "min_size", "voxels": 5},
+                            {"policy": "keep_seeded", "seeds": [[16, 16, 3]]}],
+        })
+        first = tmp_path / "first.nii"
+        assert main(["segment", "--in", str(vol), "--out", str(first), "--config", cfg]) == 0
+        sidecar = tmp_path / "first.nii.provenance.json"
+        doc = json.loads(sidecar.read_text())
+        assert doc["derived"]["crop_bbox"]["hi"][2] < 14
+        replayed = tmp_path / "replayed.nii"
+        assert main(["segment", "--out", str(replayed), "--config", str(sidecar)]) == 0
+        assert first.read_bytes() == replayed.read_bytes()
+        assert sidecar.read_text().replace("first.nii", "replayed.nii") == \
+            (tmp_path / "replayed.nii.provenance.json").read_text()
+
+    # configs/segment_demo.json's sidecar under each --method, pinned as text
+    # so that any change in how configs are written back fails
+    DEMO_SIDECAR = (
+        '{"tool": "biliseg", "version": "VERSION", "command": "segment", "input": "IN", "output": "OUT", '
+        '"method": "METHOD", "preprocess": {"p_low": 1.0, "p_high": 99.9, "crop_enabled": true, '
+        '"crop_percentile": 99.5, "crop_margin": 5}, SECTION, "postprocess": [{"policy": "keep_largest"}], '
+        '"derived": {"crop_bbox": {"lo": [40, 30, 0], "hi": [62, 65, 31]}, "mask_voxels": 1578}}')
+    DEMO_SECTIONS = {
+        "threshold": '"threshold": {"t_min": 120.0, "t_max": 255.0, "per_slice_overrides": {}}',
+        "floodfill": '"floodfill": {"seed": [48, 48, 2], "tolerance": 80.0, "connectivity": 6}',
+        "regiongrow": ('"regiongrow": {"seed": [48, 48, 2], "k": 0.3, "R": 100.0, "window": 3, '
+                       '"in_slice_connectivity": 4, "propagate_slices": true}'),
+    }
+
+    def test_demo_sidecar_text_is_pinned(self, tmp_path, demo_volume):
+        for method, section in self.DEMO_SECTIONS.items():
+            out = tmp_path / f"{method}.nii"
+            assert main(["segment", "--in", str(demo_volume), "--out", str(out), "--method", method,
+                         "--config", str(CONFIGS / "segment_demo.json")]) == 0
+            pinned = (self.DEMO_SIDECAR.replace("VERSION", __version__).replace("METHOD", method)
+                      .replace('"IN"', json.dumps(str(demo_volume))).replace('"OUT"', json.dumps(str(out)))
+                      .replace("SECTION", section))
+            want = json.dumps(json.loads(pinned), indent=2) + "\n"
+            assert (tmp_path / f"{method}.nii.provenance.json").read_text() == want
 
     def test_idempotent_bytes(self, tmp_path, phantom_files):
         vol, _ = phantom_files
@@ -376,15 +455,6 @@ class TestCompareCommand:
         assert text.startswith("| method | DSC | HD_mm | RVD |")
         assert "One-way ANOVA" in text
 
-    def test_thread_cap_env(self, tmp_path, monkeypatch):
-        a1, a2, b1, b2 = self.make_reports(tmp_path)
-        monkeypatch.setenv("BILISEG_THREADS", "2")
-        assert main(["compare", "--group", "m1", a1, a2, "--group", "m2", b1, b2,
-                     "--out", str(tmp_path / "s.json")]) == 0
-        monkeypatch.setenv("BILISEG_THREADS", "banana")
-        assert main(["compare", "--group", "m1", a1, a2, "--group", "m2", b1, b2,
-                     "--out", str(tmp_path / "s2.json")]) == 2
-
 
 class TestMeshCommand:
     def test_stl_written(self, tmp_path, phantom_files, capsys):
@@ -484,3 +554,76 @@ class TestEvaluateConnectivityFlag:
                      "--truth", str(tmp_path / "gt.nii"), "--out", str(out6),
                      "--connectivity", "6"]) == 0
         assert json.loads(out6.read_text())["missed_components"] == 1
+
+
+def run_quietly(argv):
+    """``main(argv)`` and what it printed to stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        return main(argv), err.getvalue()
+
+
+def value_paths(doc, prefix=()):
+    """The path to every value inside a JSON document, sections and leaves alike."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from value_paths(value, prefix + (key,))
+
+
+def replaced(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+SEGMENT_DEMO = json.loads((CONFIGS / "segment_demo.json").read_text())
+PHANTOM_DEMO = json.loads((CONFIGS / "phantom_demo.json").read_text())
+SEGMENT_METHODS = ("threshold", "floodfill", "regiongrow")
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6)
+NON_NUMBERS = (st.none() | st.booleans() | st.text(max_size=6)
+               | st.lists(st.none() | st.booleans() | st.text(max_size=3), max_size=4)
+               | st.dictionaries(st.text(max_size=3), st.none(), max_size=2))
+SMALL_FLOATS = st.floats(-4.0, 4.0) | st.sampled_from([float("nan"), float("inf"), float("-inf")])
+
+
+@pytest.fixture(scope="module")
+def scratch_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("surface")
+
+
+class TestConfigSurface:
+    @settings(max_examples=120, deadline=None)
+    @given(path=st.sampled_from(sorted(value_paths(SEGMENT_DEMO), key=str)),
+           method=st.sampled_from(SEGMENT_METHODS), value=JSON_VALUES)
+    @example(path=("regiongrow", "window"), method="regiongrow", value=10**30 + 1)
+    def test_any_segment_value_exits_cleanly(self, demo_volume, scratch_dir, path, method, value):
+        doc = replaced(dict(SEGMENT_DEMO, method=method), path, value)
+        if path[0] in SEGMENT_METHODS:
+            doc["method"] = path[0]  # run the method whose section was changed
+        cfg = write_json(scratch_dir / "seg.json", doc)
+        code, err = run_quietly(["segment", "--in", str(demo_volume),
+                                 "--out", str(scratch_dir / "m.nii"), "--config", cfg])
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in err
+
+    # wrong JSON types only: an in-range dims or max_depth could be arbitrarily
+    # costly, and so could a large float max_depth if it were read as a number
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(PHANTOM_DEMO)).flatmap(lambda key: st.tuples(
+        st.just(key), NON_NUMBERS | SMALL_FLOATS if type(PHANTOM_DEMO[key]) is int else NON_NUMBERS)))
+    def test_wrong_phantom_type_exits_2(self, scratch_dir, edit):
+        key, value = edit
+        cfg = write_json(scratch_dir / "phantom.json", dict(PHANTOM_DEMO, **{key: value}))
+        volume = scratch_dir / "v.nii"
+        code, err = run_quietly(["phantom", "--config", cfg, "--out-volume", str(volume),
+                                 "--out-truth", str(scratch_dir / "t.nii")])
+        assert code == 2 and err.startswith("error: ")
+        assert not volume.exists()

@@ -1,7 +1,13 @@
+import contextlib
+import io
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from biliseg import FormatError, Mask, Spacing, Volume, read_nifti, write_nifti
+from biliseg.cli import main
 from conftest import raw_nifti_bytes
 
 
@@ -189,6 +195,13 @@ class TestHeaderEdgeCases:
         with pytest.raises(FormatError, match="vox_offset"):
             read_nifti(write_raw(tmp_path, "vo.nii", bytes(patched)))
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_vox_offset_rejected(self, tmp_path, value):
+        patched = bytearray(raw_nifti_bytes(np.zeros((2, 2, 2), dtype=np.uint8), (1, 1, 1), 2))
+        struct.pack_into("<f", patched, 108, value)
+        with pytest.raises(FormatError, match="vox_offset.*byte offset 108"):
+            read_nifti(write_raw(tmp_path, "vo.nii", bytes(patched)))
+
     def test_nonpositive_pixdim_rejected(self, tmp_path):
         arr = np.zeros((2, 2, 2), dtype=np.uint8)
         blob = raw_nifti_bytes(arr, (1.0, -1.0, 1.0), 2)
@@ -200,3 +213,37 @@ class TestHeaderEdgeCases:
         blob = raw_nifti_bytes(arr, (1, 1, 1), 2, vox_offset=500)
         vol = read_nifti(write_raw(tmp_path, "big.nii", blob))
         assert (vol.data == arr).all()
+
+
+@pytest.fixture(scope="module")
+def small_masks(tmp_path_factory):
+    d = tmp_path_factory.mktemp("masks")
+    truth = np.zeros((4, 3, 2), dtype=np.uint8)
+    truth[1:3, 1, :] = 1
+    blob = raw_nifti_bytes(truth, (1.0, 1.0, 2.0), 2)
+    return d, blob, write_raw(d, "truth.nii", blob)
+
+
+# where read_nifti reads sizeof_hdr, dim, datatype, bitpix, pixdim,
+# vox_offset, scl_slope/scl_inter and magic
+FIELD_OFFSETS = [0, *range(40, 56, 2), 70, 72, *range(76, 120, 4), 344]
+
+
+@settings(max_examples=150, deadline=None)
+@given(offset=st.sampled_from(FIELD_OFFSETS) | st.integers(0, 347),
+       patch=st.binary(min_size=1, max_size=8)
+       | st.floats(width=32).map(lambda v: struct.pack("<f", v))
+       | st.integers(-2**15, 2**15 - 1).map(lambda v: struct.pack("<h", v)))
+@example(offset=108, patch=struct.pack("<f", float("nan")))
+def test_mutated_header_exits_cleanly(small_masks, offset, patch):
+    """Any bytes written into the header of a prediction give a documented
+    exit code, never an uncaught exception."""
+    d, blob, truth = small_masks
+    mutated = bytearray(blob)
+    mutated[offset:offset + len(patch)] = patch[:348 - offset]
+    pred = write_raw(d, "pred.nii", bytes(mutated))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["evaluate", "--in", str(pred), "--truth", str(truth), "--out", str(d / "r.json")])
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()

@@ -201,6 +201,13 @@ class TestSauvola:
                     assert field[x, y] == pytest.approx(
                         sauvola_threshold(s, x, y, 0.3, 100.0, window), abs=1e-9)
 
+    def test_window_beyond_the_slice_covers_it_whole(self):
+        s = np.random.default_rng(5).uniform(0, 255, (9, 6))
+        whole = sauvola_threshold_field(s, 0.3, 100.0, 19)
+        for window in (10**6 + 1, 2**63 + 1, 10**30 + 1):
+            assert (sauvola_threshold_field(s, 0.3, 100.0, window) == whole).all()
+        assert whole[4, 2] == pytest.approx(sauvola_threshold(s, 4, 2, 0.3, 100.0, 10**30 + 1), abs=1e-9)
+
     def test_pixel_out_of_slice(self):
         with pytest.raises(ConfigError):
             sauvola_threshold(np.zeros((3, 3)), 3, 0)
