@@ -27,25 +27,16 @@ from .metrics import evaluate
 from .nifti import read_nifti, write_nifti
 from .phantom import PhantomParams, generate_tree, rasterize_tree, render_intensities
 from .preprocess import PreprocessParams, dynamic_crop, embed_mask, percentile_stretch
-from .report import REPORT_COLUMNS, write_report
+from .report import COLUMNS, write_report
 from .segmentation import (FloodFillConfig, KeepLargest, KeepSeeded, MinSize,
                            RegionGrowConfig, ThresholdConfig, dual_threshold,
                            flood_fill, postprocess, region_grow)
 from .stats import mean_std, one_way_anova
 from ._util import atomic_write_text
 
-_METRIC_KEYS = {
-    "DSC": "dsc",
-    "HD_mm": "hd_mm",
-    "RVD": "rvd",
-    "outliers": "outliers",
-    "false_communicating_IHDs": "false_communicating",
-    "false_non_communicating_IHDs": "false_non_communicating",
-}
-
 
 # ---------------------------------------------------------------------------
-# JSON config codec
+# JSON codec
 #
 # One typing rule per field type, read from the config dataclasses' fields and
 # type hints: a float is a finite JSON number, an int a JSON integer, a bool
@@ -130,7 +121,10 @@ def _decode(hint, value, where: str):
 
 
 def _to_json(obj) -> dict:
-    """Inverse of ``_from_json``: the fields of ``obj`` in declaration order."""
+    """Inverse of ``_from_json``: the fields of ``obj`` in declaration order.
+
+    Every JSON document the CLI writes is built from it: configs in the
+    sidecar, crop boxes and evaluate reports."""
     return {f.name: _encode(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
 
 
@@ -146,11 +140,13 @@ def _encode(value):
     return {} if value is None else value  # an unset per_slice_overrides
 
 
+def _write_json(path, doc) -> None:
+    atomic_write_text(path, json.dumps(doc, indent=2) + "\n")
+
+
 POLICIES = {"keep_largest": KeepLargest, "min_size": MinSize, "keep_seeded": KeepSeeded}
 _POLICY_NAMES = {cls: name for name, cls in POLICIES.items()}
-METHODS = {"threshold": (ThresholdConfig, dual_threshold),
-           "floodfill": (FloodFillConfig, flood_fill),
-           "regiongrow": (RegionGrowConfig, region_grow)}
+METHODS = {"threshold": ThresholdConfig, "floodfill": FloodFillConfig, "regiongrow": RegionGrowConfig}
 
 
 def _policies_from_json(items) -> list:
@@ -189,8 +185,7 @@ def cmd_preprocess(args) -> int:
     out = percentile_stretch(volume, pre)
     if pre.crop_enabled:
         out, box = dynamic_crop(out, pre)
-        atomic_write_text(str(args.output) + ".crop.json",
-                          json.dumps({"lo": list(box.lo), "hi": list(box.hi)}, indent=2) + "\n")
+        _write_json(str(args.output) + ".crop.json", _to_json(box))
     write_nifti(out, args.output)
     print(f"preprocess: wrote {out.dims[0]}x{out.dims[1]}x{out.dims[2]} volume to {args.output}")
     return 0
@@ -209,7 +204,9 @@ def _run_method(method: str, work, cfg, box, nz: int):
     Seeds and per-slice overrides in ``cfg`` are in original-grid coordinates
     (``nz`` slices); with a crop ``box`` they are moved into crop coordinates
     here, and overrides for slices outside the crop, which cannot affect the
-    output, are dropped.
+    output, are dropped. The method function is looked up by its module-level
+    name on every call, so a rebinding of that name (a tracer, a test spy)
+    takes effect.
     """
     if box is not None and method == "threshold":
         overrides = cfg.per_slice_overrides or {}
@@ -220,7 +217,8 @@ def _run_method(method: str, work, cfg, box, nz: int):
         cfg = dataclasses.replace(cfg, per_slice_overrides=kept or None)
     elif box is not None:
         cfg = dataclasses.replace(cfg, seed=_shift_seed(cfg.seed, box))
-    return METHODS[method][1](work, cfg)
+    run = {"threshold": dual_threshold, "floodfill": flood_fill, "regiongrow": region_grow}[method]
+    return run(work, cfg)
 
 
 def cmd_segment(args) -> int:
@@ -237,7 +235,7 @@ def cmd_segment(args) -> int:
         raise ConfigError("segment needs an input and an output path (flags or config)")
     if cfg.get(method) is None:
         raise ConfigError(f"segment config has no '{method}' section")
-    method_cfg = _from_json(METHODS[method][0], cfg[method], method)
+    method_cfg = _from_json(METHODS[method], cfg[method], method)
     pre = _from_json(PreprocessParams, cfg.get("preprocess", {}), "preprocess")
     policies = _policies_from_json(cfg.get("postprocess", []))
 
@@ -270,11 +268,11 @@ def cmd_segment(args) -> int:
         method: _to_json(method_cfg),
         "postprocess": [{"policy": _POLICY_NAMES[type(p)], **_to_json(p)} for p in policies],
         "derived": {
-            "crop_bbox": {"lo": list(box.lo), "hi": list(box.hi)} if box else None,
+            "crop_bbox": _to_json(box) if box else None,
             "mask_voxels": mask.count(),
         },
     }
-    atomic_write_text(str(out_path) + ".provenance.json", json.dumps(sidecar, indent=2) + "\n")
+    _write_json(str(out_path) + ".provenance.json", sidecar)
 
     n = mask.count()
     print(f"segment[{method}]: {n} foreground voxels -> {out_path}")
@@ -290,7 +288,7 @@ def cmd_evaluate(args) -> int:
     if not truth.data.any():
         raise DegenerateInputError("ground-truth mask is empty")
     report = evaluate(pred, truth, Connectivity(args.connectivity))
-    write_report(report, "json", args.output)
+    _write_json(args.output, _to_json(report))
     print(f"evaluate: DSC={report.dsc:.6f} HD={report.hd_mm:.6f}mm RVD={report.rvd:.6f} "
           f"-> {args.output}")
     return 0
@@ -311,11 +309,10 @@ def cmd_compare(args) -> int:
     loaded = {name: [_load_json(p) for p in paths] for name, paths in groups.items()}
 
     rows = []
-    per_column: dict[str, list[list[float]]] = {col: [] for col in REPORT_COLUMNS[1:]}
+    per_column: dict[str, list[list[float]]] = {col: [] for col in COLUMNS}
     for name, reports in loaded.items():
         row = {"method": name}
-        for col in REPORT_COLUMNS[1:]:
-            key = _METRIC_KEYS[col]
+        for col, key in COLUMNS.items():
             try:
                 values = [float(r[key]) for r in reports]
             except (KeyError, TypeError, ValueError):

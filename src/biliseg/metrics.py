@@ -12,7 +12,7 @@ fragmented across several predictions (false non-communicating).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -142,8 +142,5 @@ def evaluate(pred: Mask, gt: Mask,
         hd_directed_pred_to_gt=forward,
         hd_directed_gt_to_pred=backward,
         rvd=rvd(pred, gt),
-        outliers=topo.outliers,
-        missed_components=topo.missed_components,
-        false_communicating=topo.false_communicating,
-        false_non_communicating=topo.false_non_communicating,
+        **asdict(topo),
     )

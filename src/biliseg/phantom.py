@@ -21,6 +21,12 @@ import numpy as np
 from .core import Mask, Spacing, Volume
 from .errors import ConfigError, DegenerateInputError
 
+# Size caps, checked before anything is allocated: the tree can reach
+# 2**(max_depth + 1) - 1 segments when it may branch (max_depth + 1 when it
+# cannot), and the volume holds prod(dims) voxels.
+MAX_SEGMENTS = 4095           # a binary tree of depth 11
+MAX_VOXELS = 256 * 256 * 256
+
 
 @dataclass(frozen=True)
 class PhantomParams:
@@ -43,6 +49,8 @@ class PhantomParams:
         dims = tuple(int(n) for n in self.dims)
         if len(dims) != 3 or min(dims) < 1:
             raise ConfigError(f"dims must be three positive integers, got {self.dims}")
+        if math.prod(dims) > MAX_VOXELS:
+            raise ConfigError(f"dims {list(dims)} exceed the cap of {MAX_VOXELS} voxels")
         object.__setattr__(self, "dims", dims)
         if not isinstance(self.spacing, Spacing):
             object.__setattr__(self, "spacing", Spacing(*self.spacing))
@@ -63,6 +71,13 @@ class PhantomParams:
             raise ConfigError(f"branch_angle must be >= 0 degrees, got {self.branch_angle}")
         if self.max_depth < 0:
             raise ConfigError(f"max_depth must be >= 0, got {self.max_depth}")
+        branching = self.branch_probability > 0
+        # 2**64 - 1 is over the cap already, so a deeper tree need not be counted
+        worst = 2 ** min(self.max_depth + 1, 64) - 1 if branching else self.max_depth + 1
+        if worst > MAX_SEGMENTS:
+            raise ConfigError(f"max_depth {self.max_depth} allows up to "
+                              f"{'2^(max_depth+1)-1' if branching else 'max_depth+1'} segments, "
+                              f"over the cap of {MAX_SEGMENTS}")
         if not self.fg_mean > self.bg_mean:
             raise ConfigError(f"need fg_mean > bg_mean, got ({self.fg_mean}, {self.bg_mean})")
         if self.noise_std < 0:

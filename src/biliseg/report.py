@@ -10,6 +10,7 @@ produce byte-identical files.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 
@@ -17,15 +18,16 @@ from .errors import ConfigError
 from .metrics import MetricsReport
 from ._util import atomic_write_text
 
-REPORT_COLUMNS = (
-    "method",
-    "DSC",
-    "HD_mm",
-    "RVD",
-    "outliers",
-    "false_communicating_IHDs",
-    "false_non_communicating_IHDs",
-)
+# summary column -> the MetricsReport field it summarizes
+COLUMNS = {
+    "DSC": "dsc",
+    "HD_mm": "hd_mm",
+    "RVD": "rvd",
+    "outliers": "outliers",
+    "false_communicating_IHDs": "false_communicating",
+    "false_non_communicating_IHDs": "false_non_communicating",
+}
+REPORT_COLUMNS = ("method", *COLUMNS)
 _COUNT_COLUMNS = frozenset(REPORT_COLUMNS[4:])
 FORMATS = ("json", "csv", "markdown")
 
@@ -43,29 +45,7 @@ def format_cell(column: str, value) -> str:
 
 
 def metrics_to_dict(report: MetricsReport) -> dict:
-    return {
-        "dsc": report.dsc,
-        "hd_mm": report.hd_mm,
-        "hd_directed_pred_to_gt": report.hd_directed_pred_to_gt,
-        "hd_directed_gt_to_pred": report.hd_directed_gt_to_pred,
-        "rvd": report.rvd,
-        "outliers": report.outliers,
-        "missed_components": report.missed_components,
-        "false_communicating": report.false_communicating,
-        "false_non_communicating": report.false_non_communicating,
-    }
-
-
-def _report_row(report: MetricsReport, method: str) -> dict:
-    return {
-        "method": method,
-        "DSC": report.dsc,
-        "HD_mm": report.hd_mm,
-        "RVD": report.rvd,
-        "outliers": report.outliers,
-        "false_communicating_IHDs": report.false_communicating,
-        "false_non_communicating_IHDs": report.false_non_communicating,
-    }
+    return dataclasses.asdict(report)
 
 
 def _render_rows(rows) -> list[dict]:
@@ -75,7 +55,7 @@ def _render_rows(rows) -> list[dict]:
         if missing:
             raise ConfigError(f"summary row is missing column(s) {missing}")
         out = {"method": str(row["method"])}
-        for col in REPORT_COLUMNS[1:]:
+        for col in COLUMNS:
             out[col] = format_cell(col, row[col])
         rendered.append(out)
     return rendered
@@ -83,7 +63,7 @@ def _render_rows(rows) -> list[dict]:
 
 def _anova_row(anova) -> dict:
     row = {"method": "ANOVA p-value"}
-    for col in REPORT_COLUMNS[1:]:
+    for col in COLUMNS:
         res = anova.get(col)
         if res is None:
             row[col] = ""
@@ -92,38 +72,25 @@ def _anova_row(anova) -> dict:
     return row
 
 
-def write_report(report, fmt: str, path, anova=None, method: str = "") -> None:
-    """Write a single per-case report or a summary table.
+def write_report(rows, fmt: str, path, anova=None) -> None:
+    """Write a summary table.
 
-    ``report`` is either a MetricsReport (full numeric dump in JSON, a single
-    table row otherwise) or a list of summary rows, each a mapping from the
-    report columns to scalars or (mean, std) pairs. ``anova`` optionally maps
-    metric columns to AnovaResult; significant p-values gain a ``*``.
+    ``rows`` is a list of summary rows, each a mapping from the report columns
+    to scalars or (mean, std) pairs. ``anova`` optionally maps metric columns
+    to AnovaResult (None where F is undefined); it adds a p-value row, and
+    significant p-values gain a ``*``.
     """
     if fmt not in FORMATS:
         raise ConfigError(f"unknown report format {fmt!r}, expected one of {FORMATS}")
-
-    if isinstance(report, MetricsReport):
-        if fmt == "json":
-            atomic_write_text(path, json.dumps(metrics_to_dict(report), indent=2) + "\n")
-            return
-        rows = _render_rows([_report_row(report, method)])
-    else:
-        rows = _render_rows(list(report))
-        if anova:
-            rows.append(_anova_row(anova))
+    rows = _render_rows(list(rows))
+    if anova:
+        rows.append(_anova_row(anova))
 
     if fmt == "json":
         doc = {"columns": list(REPORT_COLUMNS), "rows": rows}
         if anova:
             doc["anova"] = {
-                col: None if res is None else {
-                    "f_stat": res.f_stat,
-                    "df_between": res.df_between,
-                    "df_within": res.df_within,
-                    "p_value": res.p_value,
-                    "significant": res.significant,
-                }
+                col: None if res is None else {**dataclasses.asdict(res), "significant": res.significant}
                 for col, res in anova.items()
             }
         atomic_write_text(path, json.dumps(doc, indent=2) + "\n")

@@ -245,25 +245,31 @@ def region_grow(volume: Volume, cfg: RegionGrowConfig) -> Mask:
 
 def postprocess(mask: Mask, policies, connectivity: Connectivity = Connectivity.VERTEX26) -> Mask:
     """Apply component-filtering policies in order. The result is always a
-    subset of the input mask."""
-    out = mask
+    subset of the input mask.
+
+    Every policy keeps or drops whole components, so the survivors keep their
+    sizes and their place in the size/first-index label order. One labeling
+    and a shrinking ``keep`` vector therefore give the mask that relabeling
+    after each policy would: the largest survivor is the lowest kept label.
+    """
+    if not policies:
+        return mask
+    labels = connected_components(mask, connectivity)
+    keep = np.ones(labels.num_components + 1, dtype=bool)
+    keep[0] = False
     for policy in policies:
-        labels = connected_components(out, connectivity)
-        k = labels.num_components
-        keep = np.zeros(k + 1, dtype=bool)
         if isinstance(policy, KeepLargest):
-            if k >= 1:
-                keep[1] = True
+            kept = np.flatnonzero(keep)
+            keep[kept[1:]] = False
         elif isinstance(policy, MinSize):
-            if k >= 1:
-                keep[1:] = labels.component_sizes() >= policy.voxels
+            keep[1:] &= labels.component_sizes() >= policy.voxels
         elif isinstance(policy, KeepSeeded):
-            hit = {int(labels.data[require_in_bounds(s, out.dims)]) for s in policy.seeds}
-            hit.discard(0)
+            hit = [int(labels.data[require_in_bounds(s, mask.dims)]) for s in policy.seeds]
+            hit = [label for label in hit if keep[label]]
             if not hit:
                 raise DegenerateInputError("no seed lies inside a foreground component")
-            keep[sorted(hit)] = True
+            keep[:] = False
+            keep[hit] = True
         else:
             raise ConfigError(f"unknown post-processing policy {policy!r}")
-        out = Mask(keep[labels.data], mask.spacing)
-    return out
+    return Mask(keep[labels.data], mask.spacing)

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from biliseg import Mask, Spacing, __version__, read_nifti, write_nifti
+import biliseg.cli
 from biliseg.cli import main
+from biliseg.phantom import MAX_SEGMENTS, MAX_VOXELS
 
 PHANTOM = {
     "dims": [32, 32, 12],
@@ -228,6 +231,20 @@ class TestSegmentCommand:
                       .replace("SECTION", section))
             want = json.dumps(json.loads(pinned), indent=2) + "\n"
             assert (tmp_path / f"{method}.nii.provenance.json").read_text() == want
+
+    def test_methods_are_called_through_their_module_names(self, tmp_path, demo_volume, monkeypatch):
+        # a tracer sees a method only if segment calls it through the name it rebinds
+        calls = []
+        for name in ("dual_threshold", "flood_fill", "region_grow"):
+            original = getattr(biliseg.cli, name)
+            monkeypatch.setattr(biliseg.cli, name,
+                                lambda *a, _name=name, _f=original: calls.append(_name) or _f(*a))
+        for method, name in (("threshold", "dual_threshold"), ("floodfill", "flood_fill"),
+                             ("regiongrow", "region_grow")):
+            calls.clear()
+            assert main(["segment", "--in", str(demo_volume), "--out", str(tmp_path / f"{method}.nii"),
+                         "--method", method, "--config", str(CONFIGS / "segment_demo.json")]) == 0
+            assert calls == [name]
 
     def test_idempotent_bytes(self, tmp_path, phantom_files):
         vol, _ = phantom_files
@@ -494,6 +511,90 @@ class TestPreprocessCommand:
         assert all(h - l + 1 == d for l, h, d in zip(box["lo"], box["hi"], cropped.dims))
 
 
+class TestPinnedOutputs:
+    # the exact text of a demo evaluate report, of compare in all three
+    # formats and of a preprocess crop box, so that any change in how reports
+    # are written fails
+    CROP = '{"lo": [40, 30, 0], "hi": [62, 65, 31]}'
+    REPORT = ('{"dsc": 0.026470292213238503, "hd_mm": 70.97251377699186, '
+              '"hd_directed_pred_to_gt": 70.97251377699186, "hd_directed_gt_to_pred": 0.0, '
+              '"rvd": 73.55640050697085, "outliers": 4, "missed_components": 0, '
+              '"false_communicating": 0, "false_non_communicating": 0}')
+    CASES = {"a1": dict(dsc=0.80, hd_mm=1.0, rvd=0.2, outliers=3),
+             "a2": dict(dsc=0.82, hd_mm=2.5, rvd=0.1, outliers=5),
+             "b1": dict(dsc=0.60, hd_mm=4.0, rvd=0.3, outliers=3, false_communicating=2),
+             "b2": dict(dsc=0.61, hd_mm=3.0, rvd=0.4, outliers=4)}
+    COMPARE_JSON = (
+        '{"columns": ["method", "DSC", "HD_mm", "RVD", "outliers", "false_communicating_IHDs", '
+        '"false_non_communicating_IHDs"], "rows": ['
+        '{"method": "threshold", "DSC": "0.810 \\u00b10.014", "HD_mm": "1.750 \\u00b11.061", '
+        '"RVD": "0.150 \\u00b10.071", "outliers": "4.0 \\u00b11.41", '
+        '"false_communicating_IHDs": "1.0 \\u00b10.00", "false_non_communicating_IHDs": "0.0 \\u00b10.00"}, '
+        '{"method": "regiongrow", "DSC": "0.605 \\u00b10.007", "HD_mm": "3.500 \\u00b10.707", '
+        '"RVD": "0.350 \\u00b10.071", "outliers": "3.5 \\u00b10.71", '
+        '"false_communicating_IHDs": "1.5 \\u00b10.71", "false_non_communicating_IHDs": "0.0 \\u00b10.00"}, '
+        '{"method": "ANOVA p-value", "DSC": "0.002961*", "HD_mm": "0.191710", "RVD": "0.105573", '
+        '"outliers": "0.698489", "false_communicating_IHDs": "0.422650", '
+        '"false_non_communicating_IHDs": ""}], "anova": {'
+        '"DSC": {"f_stat": 336.2000000000026, "df_between": 1, "df_within": 2, '
+        '"p_value": 0.0029612146741151424, "significant": true}, '
+        '"HD_mm": {"f_stat": 3.769230769230769, "df_between": 1, "df_within": 2, '
+        '"p_value": 0.1917096231345239, "significant": false}, '
+        '"RVD": {"f_stat": 7.999999999999993, "df_between": 1, "df_within": 2, '
+        '"p_value": 0.10557280900008414, "significant": false}, '
+        '"outliers": {"f_stat": 0.2, "df_between": 1, "df_within": 2, '
+        '"p_value": 0.6984886554222365, "significant": false}, '
+        '"false_communicating_IHDs": {"f_stat": 1.0, "df_between": 1, "df_within": 2, '
+        '"p_value": 0.4226497308103747, "significant": false}, '
+        '"false_non_communicating_IHDs": null}}')
+    COMPARE_CSV = (
+        "method,DSC,HD_mm,RVD,outliers,false_communicating_IHDs,false_non_communicating_IHDs\n"
+        "threshold,0.810 ±0.014,1.750 ±1.061,0.150 ±0.071,4.0 ±1.41,1.0 ±0.00,0.0 ±0.00\n"
+        "regiongrow,0.605 ±0.007,3.500 ±0.707,0.350 ±0.071,3.5 ±0.71,1.5 ±0.71,0.0 ±0.00\n"
+        "ANOVA p-value,0.002961*,0.191710,0.105573,0.698489,0.422650,\n")
+    COMPARE_MARKDOWN = (
+        "| method | DSC | HD_mm | RVD | outliers | false_communicating_IHDs | false_non_communicating_IHDs |\n"
+        "| --- | --- | --- | --- | --- | --- | --- |\n"
+        "| threshold | 0.810 ±0.014 | 1.750 ±1.061 | 0.150 ±0.071 | 4.0 ±1.41 | 1.0 ±0.00 | 0.0 ±0.00 |\n"
+        "| regiongrow | 0.605 ±0.007 | 3.500 ±0.707 | 0.350 ±0.071 | 3.5 ±0.71 | 1.5 ±0.71 | 0.0 ±0.00 |\n"
+        "| ANOVA p-value | 0.002961* | 0.191710 | 0.105573 | 0.698489 | 0.422650 |  |\n"
+        "\n"
+        "One-way ANOVA across methods (* marks p < 0.05):\n"
+        "- DSC: F(1, 2) = 336.2, p = 0.002961*\n"
+        "- HD_mm: F(1, 2) = 3.76923, p = 0.191710\n"
+        "- RVD: F(1, 2) = 8, p = 0.105573\n"
+        "- outliers: F(1, 2) = 0.2, p = 0.698489\n"
+        "- false_communicating_IHDs: F(1, 2) = 1, p = 0.422650\n"
+        "- false_non_communicating_IHDs: undefined (zero within-group variance)\n")
+
+    def test_report_compare_and_crop_text_is_pinned(self, tmp_path, demo_volume):
+        indented = lambda text: json.dumps(json.loads(text), indent=2) + "\n"  # noqa: E731
+        pre = write_json(tmp_path / "pre.json", SEGMENT_DEMO["preprocess"])
+        assert main(["preprocess", "--in", str(demo_volume), "--out", str(tmp_path / "pre.nii"),
+                     "--config", pre]) == 0
+        assert (tmp_path / "pre.nii.crop.json").read_text() == indented(self.CROP)
+
+        # a low band without crop or postprocess keeps noise, so no metric is trivial
+        noisy = dict(SEGMENT_DEMO, method="threshold", threshold={"t_min": 15.0, "t_max": 255.0},
+                     preprocess=dict(SEGMENT_DEMO["preprocess"], crop_enabled=False), postprocess=[])
+        mask, report = tmp_path / "m.nii", tmp_path / "r.json"
+        assert main(["segment", "--in", str(demo_volume), "--out", str(mask),
+                     "--config", write_json(tmp_path / "seg.json", noisy)]) == 0
+        assert main(["evaluate", "--in", str(mask), "--truth", str(demo_volume.parent / "truth.nii"),
+                     "--out", str(report)]) == 0
+        assert report.read_text() == indented(self.REPORT)
+
+        a1, a2, b1, b2 = (fake_report(tmp_path / f"{name}.json", **values)
+                          for name, values in self.CASES.items())
+        pinned = {"json": indented(self.COMPARE_JSON), "csv": self.COMPARE_CSV,
+                  "markdown": self.COMPARE_MARKDOWN}
+        for fmt, want in pinned.items():
+            out = tmp_path / f"summary.{fmt}"
+            assert main(["compare", "--group", "threshold", a1, a2, "--group", "regiongrow", b1, b2,
+                         "--out", str(out), "--format", fmt]) == 0
+            assert out.read_text(encoding="utf-8") == want
+
+
 class TestIdempotence:
     def test_every_command_rerun_is_byte_identical(self, tmp_path):
         cfg = write_json(tmp_path / "p.json", PHANTOM)
@@ -614,8 +715,6 @@ class TestConfigSurface:
         assert code in (0, 2, 3, 4)
         assert "Traceback" not in err
 
-    # wrong JSON types only: an in-range dims or max_depth could be arbitrarily
-    # costly, and so could a large float max_depth if it were read as a number
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(sorted(PHANTOM_DEMO)).flatmap(lambda key: st.tuples(
         st.just(key), NON_NUMBERS | SMALL_FLOATS if type(PHANTOM_DEMO[key]) is int else NON_NUMBERS)))
@@ -627,3 +726,29 @@ class TestConfigSurface:
                                  "--out-truth", str(scratch_dir / "t.nii")])
         assert code == 2 and err.startswith("error: ")
         assert not volume.exists()
+
+    # in-range sizes: small ones run, and ones past a cap exit 2 before
+    # anything is allocated (the draws skip sizes under the caps that are
+    # costly to render)
+    @settings(max_examples=40, deadline=None)
+    @given(st.tuples(st.just("dims"), st.lists(st.integers(1, 24) | st.integers(MAX_VOXELS + 1, 10**30),
+                                               min_size=3, max_size=3))
+           | st.tuples(st.just("max_depth"), st.integers(0, 11) | st.integers(12, 10**30)))
+    @example(("dims", [4096, 4096, 4]))
+    @example(("dims", [256, 256, 257]))
+    @example(("max_depth", 12))
+    def test_phantom_size_past_a_cap_exits_2(self, scratch_dir, edit):
+        key, value = edit
+        params = dict(PHANTOM_DEMO, **{key: value})
+        assert PHANTOM_DEMO["branch_probability"] > 0
+        over = (math.prod(params["dims"]) > MAX_VOXELS
+                or 2 ** min(params["max_depth"] + 1, 64) - 1 > MAX_SEGMENTS)
+        volume = scratch_dir / "v.nii"
+        volume.unlink(missing_ok=True)
+        code, err = run_quietly(["phantom", "--config", write_json(scratch_dir / "phantom.json", params),
+                                 "--out-volume", str(volume), "--out-truth", str(scratch_dir / "t.nii")])
+        if over:
+            assert code == 2 and "cap of" in err
+            assert not volume.exists()
+        else:
+            assert code in (0, 4) and "Traceback" not in err

@@ -7,6 +7,7 @@ from biliseg import (CenterlineTree, ConfigError, Connectivity, DegenerateInputE
                      PhantomParams, Spacing, ThresholdConfig, TubeSegment,
                      connected_components, dice, dual_threshold, generate_tree,
                      hausdorff, rasterize_tree, render_intensities)
+from biliseg.phantom import MAX_SEGMENTS, MAX_VOXELS
 
 SP = Spacing(1.0, 1.0, 1.0)
 
@@ -34,6 +35,17 @@ class TestParams:
     def test_invalid(self, kw):
         with pytest.raises(ConfigError):
             params(**kw)
+
+    def test_size_caps(self):
+        # the largest sizes under each cap are accepted, one more is refused
+        depth = MAX_SEGMENTS.bit_length() - 1
+        params(max_depth=depth)
+        params(max_depth=MAX_SEGMENTS - 1, branch_probability=0.0)
+        params(dims=(MAX_VOXELS, 1, 1))
+        for kw in ({"max_depth": depth + 1}, {"max_depth": MAX_SEGMENTS, "branch_probability": 0.0},
+                   {"max_depth": 10**100}, {"dims": (MAX_VOXELS + 1, 1, 1)}, {"dims": (2**40,) * 3}):
+            with pytest.raises(ConfigError, match="cap of"):
+                params(**kw)
 
 
 class TestGenerateTree:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from biliseg import ConfigError, MetricsReport, format_cell, write_report
+from biliseg import ConfigError, MetricsReport, format_cell, metrics_to_dict, write_report
 from biliseg.stats import AnovaResult
 
 ROW = {
@@ -90,25 +90,17 @@ class TestWriteReport:
         assert doc["anova"]["DSC"]["significant"] is True
         assert doc["anova"]["RVD"] is None
 
-    def test_single_metrics_report_json_has_all_fields(self, tmp_path):
+    def test_single_metrics_report_json_has_all_fields(self):
         rep = MetricsReport(dsc=1.0, hd_mm=0.0, hd_directed_pred_to_gt=0.0,
                             hd_directed_gt_to_pred=0.0, rvd=0.0, outliers=0,
                             missed_components=0, false_communicating=0,
                             false_non_communicating=0)
-        path = tmp_path / "one.json"
-        write_report(rep, "json", path)
-        doc = json.loads(path.read_text())
+        doc = metrics_to_dict(rep)
+        assert list(doc) == ["dsc", "hd_mm", "hd_directed_pred_to_gt", "hd_directed_gt_to_pred",
+                             "rvd", "outliers", "missed_components", "false_communicating",
+                             "false_non_communicating"]
         assert doc == {"dsc": 1.0, "hd_mm": 0.0, "hd_directed_pred_to_gt": 0.0,
                        "hd_directed_gt_to_pred": 0.0, "rvd": 0.0, "outliers": 0,
                        "missed_components": 0, "false_communicating": 0,
                        "false_non_communicating": 0}
 
-    def test_single_metrics_report_as_table_row(self, tmp_path):
-        rep = MetricsReport(dsc=0.5, hd_mm=2.25, hd_directed_pred_to_gt=2.25,
-                            hd_directed_gt_to_pred=1.0, rvd=0.2, outliers=1,
-                            missed_components=0, false_communicating=2,
-                            false_non_communicating=0)
-        path = tmp_path / "one.csv"
-        write_report(rep, "csv", path, method="floodfill")
-        lines = path.read_text().splitlines()
-        assert lines[1] == "floodfill,0.500,2.250,0.200,1,2,0"

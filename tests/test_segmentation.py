@@ -421,6 +421,33 @@ class TestPostprocess:
         m = self.make_components()
         assert (postprocess(m, []).data == m.data).all()
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_policies_applied_one_at_a_time(self, data):
+        dims = tuple(data.draw(st.integers(1, 6)) for _ in range(3))
+        bits = data.draw(st.lists(st.booleans(), min_size=int(np.prod(dims)), max_size=int(np.prod(dims))))
+        mask = Mask(np.array(bits, dtype=bool).reshape(dims), SP)
+        points = st.tuples(*(st.integers(0, n - 1) for n in dims))
+        policies = data.draw(st.lists(
+            st.just(KeepLargest()) | st.builds(MinSize, st.integers(1, 6))
+            | st.builds(KeepSeeded, st.lists(points, min_size=1, max_size=3).map(tuple)),
+            max_size=4))
+        connectivity = data.draw(st.sampled_from(list(Connectivity)))
+
+        def one_at_a_time():
+            out = mask
+            for policy in policies:
+                out = postprocess(out, [policy], connectivity)
+            return out.data
+
+        try:
+            want = one_at_a_time()
+        except DegenerateInputError:
+            with pytest.raises(DegenerateInputError):
+                postprocess(mask, policies, connectivity)
+            return
+        assert (postprocess(mask, policies, connectivity).data == want).all()
+
 
 class TestDeterminism:
     def test_same_volume_same_config_identical_masks(self):
