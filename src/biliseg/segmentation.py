@@ -162,7 +162,9 @@ def flood_fill(volume: Volume, cfg: FloodFillConfig) -> Mask:
     ``tolerance`` of the seed intensity."""
     seed = require_in_bounds(cfg.seed, volume.dims)
     seed_value = float(volume.data[seed])
-    allowed = np.abs(volume.data.astype(np.float64) - seed_value) <= cfg.tolerance
+    # one float64 temporary; the same arithmetic as astype(float64) - seed_value
+    diff = np.subtract(volume.data, seed_value, dtype=np.float64)
+    allowed = np.abs(diff, out=diff) <= cfg.tolerance
     reached = grow_from_seed(allowed, seed, cfg.connectivity.offsets())
     return Mask(reached, volume.spacing)
 

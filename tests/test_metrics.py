@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import ndimage
 
 from biliseg import (Connectivity, DegenerateInputError, GeometryError, Mask,
-                     Spacing, dice, distance_transform, evaluate, hausdorff, rvd,
-                     topology_report)
-from conftest import hausdorff_brute, random_mask
+                     Spacing, bbox_of, dice, distance_transform, evaluate, hausdorff,
+                     metrics, rvd, topology_report)
+from conftest import directed_hd_edt, hausdorff_brute, random_mask
 
 SP = Spacing(1.0, 1.0, 1.0)
+# spacings whose squared steps give different floats when summed in another
+# order, so that two nearest voxels can tie to the last bit
+TIE_SPACINGS = ((1.1, 1.1, 1.1), (0.2, 0.9, 0.3), (0.1, 1 / 3, 1 / 3), (0.9, 0.7, 0.7))
 
 
 def mask_of(coords, dims, spacing=SP):
@@ -30,6 +35,50 @@ def overlap_matrix_counts(pred, gt, conn=Connectivity.VERTEX26):
     false_comm = sum(max(0, int((overlap[i, 1:] > 0).sum()) - 1) for i in range(1, kp + 1))
     false_non_comm = sum(max(0, int((overlap[1:, j] > 0).sum()) - 1) for j in range(1, kg + 1))
     return outliers, missed, false_comm, false_non_comm
+
+
+@st.composite
+def mask_pairs(draw):
+    """Two non-empty masks on a grid of up to 24 voxels a side (several 8^3
+    blocks), each a random scatter or a filled box, one inside the other in
+    two draws out of three, in C or Fortran memory order."""
+    dims = tuple(draw(st.integers(1, 24)) for _ in range(3))
+    spacing = draw(st.sampled_from(TIE_SPACINGS) | st.tuples(*[st.floats(0.1, 3.0)] * 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    masks = []
+    for _ in range(2):
+        if draw(st.booleans()):
+            m = rng.random(dims) < draw(st.floats(0.0005, 0.5))
+        else:
+            lo = [int(rng.integers(0, n)) for n in dims]
+            hi = [int(rng.integers(l, n)) + 1 for l, n in zip(lo, dims)]
+            m = np.zeros(dims, bool)
+            m[tuple(map(slice, lo, hi))] = True
+        m.flat[rng.integers(m.size)] = True
+        masks.append(m)
+    a, b = masks
+    relation = draw(st.sampled_from(("free", "a in b", "b in a")))
+    if relation == "a in b":
+        b = b | a
+    elif relation == "b in a":
+        a = a | b
+    order = draw(st.sampled_from("CF"))
+    return np.asarray(a, order=order), np.asarray(b, order=order), Spacing(*spacing)
+
+
+def edt_calls(run):
+    """Shapes of the arrays ``run()`` hands to ndimage.distance_transform_edt."""
+    shapes = []
+    original = ndimage.distance_transform_edt
+
+    def spy(input, *args, **kwargs):
+        shapes.append(np.shape(input))
+        return original(input, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ndimage, "distance_transform_edt", spy)
+        run()
+    return shapes
 
 
 class TestDice:
@@ -181,6 +230,84 @@ class TestHausdorff:
             assert hausdorff(ma, mb, "directed") == pytest.approx(ab, abs=1e-9)
             assert hausdorff(mb, ma, "directed") == pytest.approx(ba, abs=1e-9)
             assert hausdorff(ma, mb, "symmetric") == pytest.approx(sym, abs=1e-9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(mask_pairs())
+    def test_equals_the_full_grid_distance_transform(self, pair):
+        a, b, spacing = pair
+        ma, mb = Mask(a, spacing), Mask(b, spacing)
+        assert hausdorff(ma, mb, "directed") == directed_hd_edt(a, b, spacing.as_tuple())
+        assert hausdorff(mb, ma, "directed") == directed_hd_edt(b, a, spacing.as_tuple())
+
+    @settings(max_examples=100, deadline=None)
+    @given(mask_pairs())
+    def test_small_chunks_give_the_same_value(self, pair):
+        # every broadcast loop of the search then runs in many slices
+        a, b, spacing = pair
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics, "_CHUNK", 5)
+            assert hausdorff(Mask(a, spacing), Mask(b, spacing), "directed") == \
+                directed_hd_edt(a, b, spacing.as_tuple())
+
+    @settings(max_examples=150, deadline=None)
+    @given(mask_pairs(), st.data())
+    def test_shell_bounds_hold_for_every_voxel_of_a_box(self, pair, data):
+        # the pruning invariants: no voxel of a box lies farther from b than
+        # the box's bound, and the cells within that bound hold the nearest
+        # b voxel of each voxel of the box outside b
+        _, b, spacing = pair
+        shell = metrics._Shell(Mask(b, spacing))
+        lo = np.array([data.draw(st.integers(0, n - 1)) for n in b.shape])
+        hi = np.array([data.draw(st.integers(l, min(l + 9, n - 1))) for l, n in zip(lo, b.shape)])
+        voxels = lo + np.argwhere(np.ones(hi - lo + 1, bool))
+        exact = ndimage.distance_transform_edt(~b, sampling=spacing.as_tuple())[tuple(voxels.T)]
+        bound = shell.bound(lo[None], hi[None])[0]
+        assert bound >= exact.max() * (1 - 1e-12)
+        near = np.flatnonzero(shell.gap(lo[None], hi[None])[0] <= bound * (1 + 1e-12))
+        found = shell.nearest(voxels, shell.members(near)[0])
+        outside = ~b[tuple(voxels.T)]
+        assert np.allclose(found[outside], exact[outside], rtol=1e-12, atol=0)
+
+    def test_ulp_tie_takes_the_distance_transform_value(self):
+        # the nearest b voxels sit at offsets (-1, -1, -2) and (-1, 2, -1):
+        # the same squares summed in another order differ in the last bit,
+        # and the transform's own choice of feature decides the value
+        sp = Spacing(1.1, 1.1, 1.1)
+        a = mask_of([(1, 1, 2)], (7, 4, 4), sp)
+        b = mask_of([(0, 0, 0), (0, 3, 1)], (7, 4, 4), sp)
+        tied = set()
+        for off in ((-1, -1, -2), (-1, 2, -1)):
+            sq = (np.array(off) * 1.1) ** 2
+            tied.add(float(np.sqrt(sq[0] + sq[1] + sq[2])))
+        assert len(tied) == 2
+        got = hausdorff(a, b, "directed")
+        assert got == directed_hd_edt(a.data, b.data, sp.as_tuple()) == 2.694438717061496
+        assert got in tied
+
+    def test_evaluate_skips_the_full_grid_when_pred_inside_truth(self):
+        sp = Spacing(1.0, 1.0, 1.5)
+        truth = np.zeros((64, 64, 32), bool)
+        truth[4:60, 4:60, 2:30] = True
+        pred = np.zeros_like(truth)
+        pred[6:14, 6:14, 4:10] = True
+        pred[10, 6:50, 6] = True
+        reports = []
+        assert edt_calls(lambda: reports.append(evaluate(Mask(pred, sp), Mask(truth, sp)))) == []
+        assert reports[0].hd_directed_pred_to_gt == 0.0
+        assert reports[0].hd_directed_gt_to_pred == directed_hd_edt(truth, pred, sp.as_tuple())
+
+    @settings(max_examples=150, deadline=None)
+    @given(mask_pairs())
+    def test_distance_transforms_stay_inside_the_box(self, pair):
+        a, b, spacing = pair
+        for x, y in ((a, b), (b, a)):
+            shapes = edt_calls(lambda: hausdorff(Mask(x, spacing), Mask(y, spacing), "directed"))
+            out = x & ~y
+            if not out.any():
+                assert shapes == []
+                continue
+            box = bbox_of(Mask(out | y, spacing)).shape()
+            assert all(all(n <= m for n, m in zip(shape, box)) for shape in shapes)
 
     def test_symmetric_is_symmetric(self):
         rng = np.random.default_rng(37)
