@@ -19,7 +19,7 @@ from enum import IntEnum
 import numpy as np
 
 from . import __version__
-from .core import Connectivity, Mask, connected_components
+from .core import Connectivity, Mask, label_components
 from .errors import (BilisegError, ConfigError, DegenerateInputError,
                      FormatError, GeometryError)
 from .mesh import extract_surface_mesh, write_stl
@@ -172,8 +172,8 @@ def cmd_phantom(args) -> int:
     volume = render_intensities(truth, params)
     write_nifti(volume, args.out_volume)
     write_nifti(truth, args.out_truth)
-    labels = connected_components(truth)
-    print(f"phantom: {len(tree)} segments, {labels.num_components} component(s), "
+    _, sizes = label_components(truth, Connectivity.VERTEX26)
+    print(f"phantom: {len(tree)} segments, {len(sizes) - 1} component(s), "
           f"{truth.count()} foreground voxels")
     return 0
 
@@ -306,7 +306,7 @@ def cmd_compare(args) -> int:
             raise ConfigError(f"duplicate method name {name!r}")
         groups[name] = paths
 
-    loaded = {name: [_load_json(p) for p in paths] for name, paths in groups.items()}
+    loaded = {name: [(p, _load_json(p)) for p in paths] for name, paths in groups.items()}
 
     rows = []
     per_column: dict[str, list[list[float]]] = {col: [] for col in COLUMNS}
@@ -314,8 +314,8 @@ def cmd_compare(args) -> int:
         row = {"method": name}
         for col, key in COLUMNS.items():
             try:
-                values = [float(r[key]) for r in reports]
-            except (KeyError, TypeError, ValueError):
+                values = [_decode(float, r[key], f"{p}.{key}") for p, r in reports]
+            except (KeyError, TypeError):
                 raise ConfigError(f"report for method {name!r} lacks a numeric {key!r} field") from None
             row[col] = mean_std(values)
             per_column[col].append(values)

@@ -238,6 +238,15 @@ def same_geometry(a, b) -> None:
         raise GeometryError(f"voxel spacing differs: {a.spacing} vs {b.spacing}")
 
 
+def label_components(mask: Mask, connectivity: Connectivity) -> tuple[np.ndarray, np.ndarray]:
+    """``(labels, sizes)``: components numbered 1..k in the x-fastest order of
+    their first voxel, 0 on the background, and ``sizes[i]`` the voxel count
+    of label ``i``, where ``sizes[0]`` counts the background."""
+    # C order over the (z, y, x) transpose is the x-fastest order
+    raw, _ = ndimage.label(mask.data.T, structure=connectivity.structure().T)
+    return raw.T, np.bincount(raw.ravel())
+
+
 def connected_components(mask: Mask, connectivity: Connectivity = Connectivity.VERTEX26) -> LabelMap:
     """Label connected foreground components.
 
@@ -246,19 +255,10 @@ def connected_components(mask: Mask, connectivity: Connectivity = Connectivity.V
     size; ties break on the smallest x-fastest linear index of a member voxel,
     so the labeling does not depend on any traversal order.
     """
-    raw, k = ndimage.label(mask.data, structure=connectivity.structure())
-    if k == 0:
-        return LabelMap(np.zeros(mask.dims, dtype=np.int32), mask.spacing, 0)
-    flat = raw.ravel(order="F")  # F-order ravel == x-fastest linear index
-    sizes = np.bincount(flat, minlength=k + 1)[1:]
-    fg_pos = np.flatnonzero(flat)
-    uniq, first_pos = np.unique(flat[fg_pos], return_index=True)
-    first_linear = np.empty(k, dtype=np.int64)
-    first_linear[uniq - 1] = fg_pos[first_pos]
-    order = np.lexsort((first_linear, -sizes))
-    relabel = np.zeros(k + 1, dtype=np.int32)
-    relabel[order + 1] = np.arange(1, k + 1, dtype=np.int32)
-    return LabelMap(relabel[raw], mask.spacing, int(k))
+    labels, sizes = label_components(mask, connectivity)
+    relabel = np.zeros(len(sizes), dtype=np.int32)
+    relabel[np.argsort(-sizes[1:], kind="stable") + 1] = np.arange(1, len(sizes), dtype=np.int32)
+    return LabelMap(relabel[labels], mask.spacing, len(sizes) - 1)
 
 
 def bbox_of(mask: Mask, margin: int = 0) -> BBox:

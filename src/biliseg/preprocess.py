@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BBox, Connectivity, Mask, Volume, bbox_of, connected_components
+from .core import BBox, Connectivity, Mask, Volume, bbox_of, label_components
 from .errors import ConfigError, DegenerateInputError, GeometryError
 
 
@@ -64,8 +64,8 @@ def dynamic_crop(volume: Volume, params: PreprocessParams | None = None) -> tupl
         raise DegenerateInputError("constant volume has no croppable structure")
     threshold = np.percentile(data.astype(np.float64), params.crop_percentile)
     bright = Mask(data >= threshold, volume.spacing)
-    labels = connected_components(bright, Connectivity.VERTEX26)
-    largest = Mask(labels.data == 1, volume.spacing)
+    labels, sizes = label_components(bright, Connectivity.VERTEX26)
+    largest = Mask(labels == np.argmax(sizes[1:]) + 1, volume.spacing)
     box = bbox_of(largest, params.crop_margin)
     return Volume(data[box.slices()], volume.spacing), box
 

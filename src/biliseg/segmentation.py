@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .core import (Connectivity, Mask, Volume, connected_components, require_in_bounds,
+from .core import (Connectivity, Mask, Volume, label_components, require_in_bounds,
                    structure_from_offsets)
 from .errors import ConfigError, DegenerateInputError
 
@@ -247,26 +247,24 @@ def region_grow(volume: Volume, cfg: RegionGrowConfig) -> Mask:
 
 def postprocess(mask: Mask, policies, connectivity: Connectivity = Connectivity.VERTEX26) -> Mask:
     """Apply component-filtering policies in order. The result is always a
-    subset of the input mask.
+    subset of the input mask, in the input's memory layout.
 
-    Every policy keeps or drops whole components, so the survivors keep their
-    sizes and their place in the size/first-index label order. One labeling
-    and a shrinking ``keep`` vector therefore give the mask that relabeling
-    after each policy would: the largest survivor is the lowest kept label.
+    Every policy keeps or drops whole components, so one labeling and a
+    shrinking ``keep`` vector give the mask that relabeling after each policy
+    would. The largest survivor is the first kept label of maximal size, which
+    breaks ties on the x-fastest first voxel as ``connected_components`` does.
     """
     if not policies:
         return mask
-    labels = connected_components(mask, connectivity)
-    keep = np.ones(labels.num_components + 1, dtype=bool)
-    keep[0] = False
+    labels, sizes = label_components(mask, connectivity)
+    keep = np.arange(len(sizes)) > 0  # every component, not the background
     for policy in policies:
         if isinstance(policy, KeepLargest):
-            kept = np.flatnonzero(keep)
-            keep[kept[1:]] = False
+            keep &= np.arange(len(keep)) == np.argmax(np.where(keep, sizes, -1))
         elif isinstance(policy, MinSize):
-            keep[1:] &= labels.component_sizes() >= policy.voxels
+            keep &= sizes >= policy.voxels
         elif isinstance(policy, KeepSeeded):
-            hit = [int(labels.data[require_in_bounds(s, mask.dims)]) for s in policy.seeds]
+            hit = [int(labels[require_in_bounds(s, mask.dims)]) for s in policy.seeds]
             hit = [label for label in hit if keep[label]]
             if not hit:
                 raise DegenerateInputError("no seed lies inside a foreground component")
@@ -274,4 +272,4 @@ def postprocess(mask: Mask, policies, connectivity: Connectivity = Connectivity.
             keep[hit] = True
         else:
             raise ConfigError(f"unknown post-processing policy {policy!r}")
-    return Mask(keep[labels.data], mask.spacing)
+    return Mask(np.take(keep, labels, out=np.empty_like(mask.data)), mask.spacing)

@@ -60,6 +60,25 @@ def union_find_components(mask: np.ndarray, offsets) -> list[frozenset]:
     return [frozenset(g) for g in groups.values()]
 
 
+def ordered_components(mask: np.ndarray, connectivity) -> tuple[np.ndarray, int]:
+    """Reference ordered labeling ``(labels, k)``: components numbered by
+    decreasing size, ties broken on the smallest x-fastest linear index of a
+    member voxel, found by sorting every foreground voxel."""
+    raw, k = ndimage.label(mask, structure=connectivity.structure())
+    if k == 0:
+        return np.zeros(mask.shape, dtype=np.int32), 0
+    flat = raw.ravel(order="F")  # F-order ravel == x-fastest linear index
+    sizes = np.bincount(flat, minlength=k + 1)[1:]
+    fg_pos = np.flatnonzero(flat)
+    uniq, first_pos = np.unique(flat[fg_pos], return_index=True)
+    first_linear = np.empty(k, dtype=np.int64)
+    first_linear[uniq - 1] = fg_pos[first_pos]
+    order = np.lexsort((first_linear, -sizes))
+    relabel = np.zeros(k + 1, dtype=np.int32)
+    relabel[order + 1] = np.arange(1, k + 1, dtype=np.int32)
+    return relabel[raw], int(k)
+
+
 def flood_fill_bfs(data: np.ndarray, seed, tolerance: float, offsets) -> set:
     """Reference flood fill: plain queue-based breadth-first search."""
     from collections import deque

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -232,6 +233,35 @@ class TestSegmentCommand:
             want = json.dumps(json.loads(pinned), indent=2) + "\n"
             assert (tmp_path / f"{method}.nii.provenance.json").read_text() == want
 
+    # SHA-256 of the masks segment writes for configs/segment_demo.json under
+    # every --method, with its own postprocess and with CHAIN, crop on and off,
+    # and for a low threshold band without crop that keeps 15 components after
+    # min_size; pinned so that any change in labeling or postprocess fails
+    DEMO_MASK = "8be82c1c241e066d9a60e4d86297d5edbc2e1edf5e639b2d76ffd87bf8b13366"
+    CHAIN = [{"policy": "min_size", "voxels": 20}, {"policy": "keep_seeded", "seeds": [[48, 48, 2]]},
+             {"policy": "keep_largest"}]
+    LOW_BAND_MIN_SIZE = "d43a5efd67940fb30f871687186ef51507d34e19ee75be4255f519ab9ef886a7"
+    LOW_BAND_LARGEST = "c12909fb3fc2a5b932e1a8a14c3ff34fb4e751a43125640611c3264e8cc4e9a3"
+
+    def test_demo_mask_bytes_are_pinned(self, tmp_path, demo_volume):
+        base = json.loads((CONFIGS / "segment_demo.json").read_text())
+        cases = [(method, dict(base, postprocess=pp, preprocess=dict(base["preprocess"], crop_enabled=crop)),
+                  self.DEMO_MASK)
+                 for method in ("threshold", "floodfill", "regiongrow")
+                 for pp in (base["postprocess"], self.CHAIN) for crop in (True, False)]
+        low_band = dict(base, threshold={"t_min": 40.0, "t_max": 255.0},
+                        preprocess=dict(base["preprocess"], crop_enabled=False))
+        cases += [("threshold", dict(low_band, postprocess=[{"policy": "min_size", "voxels": 2}]),
+                   self.LOW_BAND_MIN_SIZE),
+                  ("threshold", dict(low_band, postprocess=[{"policy": "min_size", "voxels": 2},
+                                                            {"policy": "keep_largest"}]),
+                   self.LOW_BAND_LARGEST)]
+        for i, (method, cfg, want) in enumerate(cases):
+            out = tmp_path / f"{i}.nii"
+            assert main(["segment", "--in", str(demo_volume), "--out", str(out), "--method", method,
+                         "--config", write_json(tmp_path / f"{i}.json", cfg)]) == 0
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == want, (method, cfg)
+
     def test_methods_are_called_through_their_module_names(self, tmp_path, demo_volume, monkeypatch):
         # a tracer sees a method only if segment calls it through the name it rebinds
         calls = []
@@ -448,6 +478,25 @@ class TestCompareCommand:
         rc = main(["compare", "--group", "m1", a1, "--group", "m2", b1,
                    "--out", str(tmp_path / "s.json")])
         assert rc == 2
+
+    @pytest.mark.parametrize("dsc", [math.nan, math.inf, -math.inf, "nan", "0.8", True, None],
+                             ids=["NaN", "Infinity", "-Infinity", "nan-string", "numeric-string",
+                                  "true", "null"])
+    def test_non_finite_or_non_numeric_value_exit_2(self, tmp_path, dsc):
+        a1, a2, b1, _ = self.make_reports(tmp_path)
+        b2 = fake_report(tmp_path / "b2.json", dsc=dsc)
+        out = tmp_path / "s.json"
+        rc = main(["compare", "--group", "m1", a1, a2, "--group", "m2", b1, b2, "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+
+    def test_report_not_an_object_exit_2(self, tmp_path):
+        a1, a2, b1, _ = self.make_reports(tmp_path)
+        b2 = write_json(tmp_path / "b2.json", [0.8])
+        out = tmp_path / "s.json"
+        rc = main(["compare", "--group", "m1", a1, a2, "--group", "m2", b1, b2, "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
 
     def test_formatted_cell_from_mock_means(self, tmp_path):
         # mean 0.819, std 0.057 renders as the canonical cell

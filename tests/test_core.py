@@ -4,7 +4,8 @@ import pytest
 from biliseg import (BoundsError, ConfigError, Connectivity, DegenerateInputError,
                      GeometryError, Mask, Spacing, Volume, bbox_of, connected_components,
                      index_from_linear, linear_index, voxel_to_world)
-from conftest import random_mask, union_find_components
+from biliseg.core import label_components
+from conftest import ordered_components, random_mask, union_find_components
 
 SP = Spacing(1.0, 1.0, 1.0)
 
@@ -133,22 +134,31 @@ class TestConnectedComponents:
             c6 = connected_components(m, Connectivity.FACE6).num_components
             assert c26 <= c18 <= c6
 
-    @pytest.mark.parametrize("conn", [Connectivity.FACE6, Connectivity.EDGE18, Connectivity.VERTEX26])
+    @pytest.mark.parametrize("conn", list(Connectivity))
     def test_matches_union_find_oracle(self, conn):
         rng = np.random.default_rng(int(conn))
         offsets = [tuple(o) for o in conn.offsets()]
         for _ in range(200):
-            data = random_mask(rng, (6, 6, 3), p=rng.uniform(0.15, 0.6), nonempty=False)
-            labels = connected_components(Mask(data, SP), conn)
-            expected = union_find_components(data, offsets)
-            assert labels.num_components == len(expected)
-            groups: dict[int, set] = {}
-            for p in map(tuple, np.argwhere(data)):
-                groups.setdefault(int(labels.data[p]), set()).add(p)
-            assert 0 not in groups
-            assert set(map(frozenset, groups.values())) == set(expected)
-            # background stays unlabeled
-            assert not labels.data[~data].any()
+            c_order = random_mask(rng, (6, 6, 3), p=rng.uniform(0.15, 0.6), nonempty=False)
+            expected = union_find_components(c_order, offsets)
+            want, k = ordered_components(c_order, conn)
+            for data in (c_order, np.asfortranarray(c_order)):
+                labels = connected_components(Mask(data, SP), conn)
+                assert labels.num_components == len(expected) == k
+                groups: dict[int, set] = {}
+                for p in map(tuple, np.argwhere(data)):
+                    groups.setdefault(int(labels.data[p]), set()).add(p)
+                assert 0 not in groups
+                assert set(map(frozenset, groups.values())) == set(expected)
+                # same partition, and the same label on each component
+                assert np.array_equal(labels.data, want)
+                # raw numbering: by first voxel in x-fastest order, same partition
+                raw, sizes = label_components(Mask(data, SP), conn)
+                flat = raw.ravel(order="F")
+                assert list(dict.fromkeys(flat[flat > 0].tolist())) == list(range(1, k + 1))
+                assert np.array_equal(sizes, np.bincount(flat, minlength=k + 1))
+                assert len(set(zip(raw[data].tolist(), want[data].tolist()))) == k
+                assert not raw[~data].any()
 
 
 class TestBBox:

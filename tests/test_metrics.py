@@ -6,7 +6,7 @@ from scipy import ndimage
 from biliseg import (Connectivity, DegenerateInputError, GeometryError, Mask,
                      Spacing, bbox_of, dice, distance_transform, evaluate, hausdorff,
                      metrics, rvd, topology_report)
-from conftest import directed_hd_edt, hausdorff_brute, random_mask
+from conftest import directed_hd_edt, hausdorff_brute, ordered_components, random_mask
 
 SP = Spacing(1.0, 1.0, 1.0)
 # spacings whose squared steps give different floats when summed in another
@@ -23,13 +23,11 @@ def mask_of(coords, dims, spacing=SP):
 
 def overlap_matrix_counts(pred, gt, conn=Connectivity.VERTEX26):
     """Brute-force proxy counts from an explicit component overlap matrix."""
-    from biliseg import connected_components
-    lp = connected_components(pred, conn)
-    lg = connected_components(gt, conn)
-    kp, kg = lp.num_components, lg.num_components
+    lp, kp = ordered_components(pred.data, conn)
+    lg, kg = ordered_components(gt.data, conn)
     overlap = np.zeros((kp + 1, kg + 1), dtype=int)
     for p in map(tuple, np.argwhere(pred.data | gt.data)):
-        overlap[lp.data[p], lg.data[p]] += 1 if (pred.data[p] and gt.data[p]) else 0
+        overlap[lp[p], lg[p]] += 1 if (pred.data[p] and gt.data[p]) else 0
     outliers = sum(1 for i in range(1, kp + 1) if overlap[i, 1:].sum() == 0)
     missed = sum(1 for j in range(1, kg + 1) if overlap[1:, j].sum() == 0)
     false_comm = sum(max(0, int((overlap[i, 1:] > 0).sum()) - 1) for i in range(1, kp + 1))

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from biliseg import (ConfigError, DegenerateInputError, Mask, PreprocessParams,
+from biliseg import (ConfigError, Connectivity, DegenerateInputError, Mask, PreprocessParams,
                      Spacing, Volume, dynamic_crop, embed_mask, percentile_stretch)
+from conftest import ordered_components
 
 SP = Spacing(1.0, 1.0, 1.0)
 
@@ -133,9 +134,8 @@ class TestDynamicCrop:
                                       crop_margin=int(rng.integers(0, 4)))
             _, box = dynamic_crop(vol, params)
             bright = data >= np.percentile(data.astype(np.float64), 95)
-            from biliseg import Connectivity, connected_components
-            labels = connected_components(Mask(bright, SP), Connectivity.VERTEX26)
-            largest = labels.data == 1
+            labels, _ = ordered_components(bright, Connectivity.VERTEX26)
+            largest = labels == 1
             inside = np.zeros_like(largest)
             inside[box.slices()] = True
             assert (largest <= inside).all()

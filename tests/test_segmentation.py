@@ -8,7 +8,7 @@ from biliseg import (BoundsError, ConfigError, Connectivity, DegenerateInputErro
                      dual_threshold, flood_fill, grow_from_seed, postprocess, region_grow,
                      sauvola_threshold, sauvola_threshold_field)
 from biliseg.phantom import CenterlineTree, PhantomParams, TubeSegment, rasterize_tree, render_intensities
-from conftest import flood_fill_bfs, reachable_bfs
+from conftest import flood_fill_bfs, ordered_components, reachable_bfs
 
 SP = Spacing(1.0, 1.0, 1.0)
 
@@ -373,6 +373,24 @@ def _region_grow_reference(data, seed, k, R, window, propagate, conn=Connectivit
     return mask
 
 
+def postprocess_reference(data, policies, connectivity) -> np.ndarray:
+    """Each policy in turn on the ordered labels of what the policies before
+    it left: label 1 is the largest component."""
+    for policy in policies:
+        labels, k = ordered_components(data, connectivity)
+        if isinstance(policy, KeepLargest):
+            data = labels == 1
+        elif isinstance(policy, MinSize):
+            sizes = np.bincount(labels.ravel(), minlength=k + 1)
+            data = np.isin(labels, np.flatnonzero(sizes[1:] >= policy.voxels) + 1)
+        else:
+            hit = {int(labels[seed]) for seed in policy.seeds} - {0}
+            if not hit:
+                raise DegenerateInputError("no seed lies inside a foreground component")
+            data = np.isin(labels, list(hit))
+    return data
+
+
 class TestPostprocess:
     def make_components(self):
         # sizes 100, 5, 3 in one 12x12x3 grid
@@ -421,32 +439,34 @@ class TestPostprocess:
         m = self.make_components()
         assert (postprocess(m, []).data == m.data).all()
 
+    def test_min_size_above_every_component_then_keep_largest_is_empty(self):
+        out = postprocess(self.make_components(), [MinSize(101), KeepLargest()])
+        assert out.count() == 0
+
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_matches_policies_applied_one_at_a_time(self, data):
         dims = tuple(data.draw(st.integers(1, 6)) for _ in range(3))
         bits = data.draw(st.lists(st.booleans(), min_size=int(np.prod(dims)), max_size=int(np.prod(dims))))
-        mask = Mask(np.array(bits, dtype=bool).reshape(dims), SP)
+        grid = np.array(bits, dtype=bool).reshape(dims)
+        if data.draw(st.booleans()):
+            grid = np.asfortranarray(grid)
+        mask = Mask(grid, SP)
         points = st.tuples(*(st.integers(0, n - 1) for n in dims))
         policies = data.draw(st.lists(
             st.just(KeepLargest()) | st.builds(MinSize, st.integers(1, 6))
             | st.builds(KeepSeeded, st.lists(points, min_size=1, max_size=3).map(tuple)),
             max_size=4))
         connectivity = data.draw(st.sampled_from(list(Connectivity)))
-
-        def one_at_a_time():
-            out = mask
-            for policy in policies:
-                out = postprocess(out, [policy], connectivity)
-            return out.data
-
         try:
-            want = one_at_a_time()
+            want = postprocess_reference(grid, policies, connectivity)
         except DegenerateInputError:
             with pytest.raises(DegenerateInputError):
                 postprocess(mask, policies, connectivity)
             return
-        assert (postprocess(mask, policies, connectivity).data == want).all()
+        out = postprocess(mask, policies, connectivity).data
+        assert np.array_equal(out, want)
+        assert out.strides == grid.strides
 
 
 class TestDeterminism:
