@@ -2,8 +2,8 @@
 
 __version__ = "0.1.0"
 
-from .core import (BBox, Connectivity, LabelMap, Mask, Spacing, Volume, bbox_of,
-                   connected_components, index_from_linear, linear_index, voxel_to_world)
+from .core import (BBox, Connectivity, Mask, Spacing, Volume, bbox_of, connected_components,
+                   index_from_linear, linear_index, voxel_to_world)
 from .errors import (BilisegError, BoundsError, ConfigError, DegenerateInputError,
                      FormatError, GeometryError)
 from .mesh import TriangleMesh, extract_surface_mesh, read_stl, write_stl

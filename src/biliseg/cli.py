@@ -19,7 +19,7 @@ from enum import IntEnum
 import numpy as np
 
 from . import __version__
-from .core import Connectivity, Mask, label_components
+from .core import Connectivity, Mask, connected_components
 from .errors import (BilisegError, ConfigError, DegenerateInputError,
                      FormatError, GeometryError)
 from .mesh import extract_surface_mesh, write_stl
@@ -27,7 +27,7 @@ from .metrics import evaluate
 from .nifti import read_nifti, write_nifti
 from .phantom import PhantomParams, generate_tree, rasterize_tree, render_intensities
 from .preprocess import PreprocessParams, dynamic_crop, embed_mask, percentile_stretch
-from .report import COLUMNS, write_report
+from .report import COLUMNS, FORMATS, write_report
 from .segmentation import (FloodFillConfig, KeepLargest, KeepSeeded, MinSize,
                            RegionGrowConfig, ThresholdConfig, dual_threshold,
                            flood_fill, postprocess, region_grow)
@@ -172,7 +172,7 @@ def cmd_phantom(args) -> int:
     volume = render_intensities(truth, params)
     write_nifti(volume, args.out_volume)
     write_nifti(truth, args.out_truth)
-    _, sizes = label_components(truth, Connectivity.VERTEX26)
+    _, sizes, _ = connected_components(truth)
     print(f"phantom: {len(tree)} segments, {len(sizes) - 1} component(s), "
           f"{truth.count()} foreground voxels")
     return 0
@@ -380,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", action="append", nargs="+", metavar="METHOD REPORT...",
                    help="method name followed by its report files; repeat per method")
     p.add_argument("--out", dest="output", required=True)
-    p.add_argument("--format", choices=("json", "csv", "markdown"), default="json")
+    p.add_argument("--format", choices=FORMATS, default="json")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("mesh", help="export a mask surface as binary STL")

@@ -5,7 +5,9 @@ Conventions used throughout the package:
 * grids are indexed ``(ix, iy, iz)`` with dims ``(nx, ny, nz)``,
 * the linear index runs x fastest, then y, then z,
 * voxel centers sit on a regular anisotropic lattice, voxel ``(ix, iy, iz)``
-  is at ``(ix*dx, iy*dy, iz*dz)`` millimetres.
+  is at ``(ix*dx, iy*dy, iz*dz)`` millimetres,
+* component labels cover the foreground box only and number the components
+  in the x-fastest order of their first voxel (``connected_components``).
 """
 from __future__ import annotations
 
@@ -147,29 +149,6 @@ class Mask:
         return int(self.data.sum())
 
 
-@dataclass(frozen=True, eq=False)
-class LabelMap:
-    """Connected-component labels, 0 = background, components are 1..num_components."""
-
-    data: np.ndarray
-    spacing: Spacing
-    num_components: int
-
-    def __post_init__(self):
-        arr = _prepare_grid(self.data, np.int32)
-        if arr.min() < 0:
-            raise GeometryError("labels must be non-negative")
-        object.__setattr__(self, "data", arr)
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.data.shape
-
-    def component_sizes(self) -> np.ndarray:
-        """Voxel count per label, index 0 = label 1."""
-        return np.bincount(self.data.ravel(), minlength=self.num_components + 1)[1:]
-
-
 @dataclass(frozen=True)
 class BBox:
     """Axis-aligned voxel box, both corners inclusive."""
@@ -238,27 +217,23 @@ def same_geometry(a, b) -> None:
         raise GeometryError(f"voxel spacing differs: {a.spacing} vs {b.spacing}")
 
 
-def label_components(mask: Mask, connectivity: Connectivity) -> tuple[np.ndarray, np.ndarray]:
-    """``(labels, sizes)``: components numbered 1..k in the x-fastest order of
-    their first voxel, 0 on the background, and ``sizes[i]`` the voxel count
-    of label ``i``, where ``sizes[0]`` counts the background."""
-    # C order over the (z, y, x) transpose is the x-fastest order
-    raw, _ = ndimage.label(mask.data.T, structure=connectivity.structure().T)
-    return raw.T, np.bincount(raw.ravel())
-
-
-def connected_components(mask: Mask, connectivity: Connectivity = Connectivity.VERTEX26) -> LabelMap:
-    """Label connected foreground components.
+def connected_components(mask: Mask, connectivity: Connectivity = Connectivity.VERTEX26
+                         ) -> tuple[np.ndarray, np.ndarray, BBox]:
+    """``(labels, sizes, box)``: the connected foreground components, labeled
+    inside the foreground box.
 
     Two foreground voxels share a label iff a foreground path under
-    ``connectivity`` joins them. Labels are ordered by decreasing component
-    size; ties break on the smallest x-fastest linear index of a member voxel,
-    so the labeling does not depend on any traversal order.
+    ``connectivity`` joins them. ``box`` is ``bbox_of(mask)``, or the whole
+    grid when the mask is empty, and ``labels`` covers ``box`` only: 0 on the
+    background, components 1..k in the x-fastest order of their first voxel.
+    Cropping to the box changes neither the components nor that order.
+    ``sizes[i]`` is the voxel count of label ``i``; ``sizes[0]`` counts the
+    background inside the box.
     """
-    labels, sizes = label_components(mask, connectivity)
-    relabel = np.zeros(len(sizes), dtype=np.int32)
-    relabel[np.argsort(-sizes[1:], kind="stable") + 1] = np.arange(1, len(sizes), dtype=np.int32)
-    return LabelMap(relabel[labels], mask.spacing, len(sizes) - 1)
+    box = bbox_of(mask) if mask.data.any() else BBox((0, 0, 0), tuple(n - 1 for n in mask.dims))
+    # C order over the (z, y, x) transpose is the x-fastest order
+    raw, _ = ndimage.label(mask.data[box.slices()].T, structure=connectivity.structure().T)
+    return raw.T, np.bincount(raw.ravel()), box
 
 
 def bbox_of(mask: Mask, margin: int = 0) -> BBox:

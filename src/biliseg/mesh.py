@@ -40,15 +40,15 @@ class TriangleMesh:
 
 def _exposed(mask: np.ndarray, axis: int, sign: int) -> np.ndarray:
     """Foreground voxels whose (axis, sign) neighbor is background or off-grid."""
-    covered = np.zeros_like(mask)
     src = [slice(None)] * 3
     dst = [slice(None)] * 3
     if sign > 0:
         dst[axis], src[axis] = slice(None, -1), slice(1, None)
     else:
         dst[axis], src[axis] = slice(1, None), slice(None, -1)
-    covered[tuple(dst)] = mask[tuple(src)]
-    return mask & ~covered
+    exposed = mask.copy(order="K")
+    exposed[tuple(dst)] &= ~mask[tuple(src)]
+    return exposed
 
 
 def extract_surface_mesh(mask: Mask) -> TriangleMesh:

@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy import ndimage
 
-from .core import Connectivity, Mask, Spacing, bbox_of, same_geometry
+from .core import Connectivity, Mask, Spacing, bbox_of, connected_components, same_geometry
 from .errors import DegenerateInputError
 
 # The exact Hausdorff search (_directed_hd) tiles the source voxels and the
@@ -296,15 +296,20 @@ def _edt_value_max(b: Mask, shell: _Shell, voxels, dists) -> float:
 
 def topology_report(pred: Mask, gt: Mask,
                     connectivity: Connectivity = Connectivity.VERTEX26) -> TopologyCounts:
-    """Component-overlap proxy counts, see the module docstring."""
-    same_geometry(pred, gt)
-    # the counts depend on the partition into components only, so the raw
-    # labels serve; connected_components would also sort them by size
-    lp, kp = ndimage.label(pred.data, structure=connectivity.structure())
-    lg, kg = ndimage.label(gt.data, structure=connectivity.structure())
+    """Component-overlap proxy counts, see the module docstring.
 
-    both = pred.data & gt.data
-    pairs = np.unique(lp[both].astype(np.int64) * (kg + 1) + lg[both])
+    The counts depend on the partition into components only. Each mask is
+    labeled inside its own foreground box, and every overlap voxel is read in
+    both label crops, offset by each box's corner.
+    """
+    same_geometry(pred, gt)
+    lp, sizes_p, box_p = connected_components(pred, connectivity)
+    lg, sizes_g, box_g = connected_components(gt, connectivity)
+    kp, kg = len(sizes_p) - 1, len(sizes_g) - 1
+    both = np.nonzero(pred.data & gt.data)
+    at_p = lp[tuple(i - lo for i, lo in zip(both, box_p.lo))]
+    at_g = lg[tuple(i - lo for i, lo in zip(both, box_g.lo))]
+    pairs = np.unique(at_p.astype(np.int64) * (kg + 1) + at_g)
     pred_hit = np.unique(pairs // (kg + 1))
     gt_hit = np.unique(pairs % (kg + 1))
     return TopologyCounts(

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BBox, Connectivity, Mask, Volume, bbox_of, label_components
+from .core import BBox, Mask, Volume, bbox_of, connected_components
 from .errors import ConfigError, DegenerateInputError, GeometryError
 
 
@@ -64,9 +64,9 @@ def dynamic_crop(volume: Volume, params: PreprocessParams | None = None) -> tupl
         raise DegenerateInputError("constant volume has no croppable structure")
     threshold = np.percentile(data.astype(np.float64), params.crop_percentile)
     bright = Mask(data >= threshold, volume.spacing)
-    labels, sizes = label_components(bright, Connectivity.VERTEX26)
+    labels, sizes, inner = connected_components(bright)
     largest = Mask(labels == np.argmax(sizes[1:]) + 1, volume.spacing)
-    box = bbox_of(largest, params.crop_margin)
+    box = bbox_of(embed_mask(largest, inner, volume.dims), params.crop_margin)
     return Volume(data[box.slices()], volume.spacing), box
 
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .core import (Connectivity, Mask, Volume, label_components, require_in_bounds,
-                   structure_from_offsets)
+from .core import (Connectivity, Mask, Volume, connected_components, in_bounds,
+                   require_in_bounds, structure_from_offsets)
 from .errors import ConfigError, DegenerateInputError
 
 SeedPoint = tuple[int, int, int]
@@ -249,14 +249,15 @@ def postprocess(mask: Mask, policies, connectivity: Connectivity = Connectivity.
     """Apply component-filtering policies in order. The result is always a
     subset of the input mask, in the input's memory layout.
 
-    Every policy keeps or drops whole components, so one labeling and a
-    shrinking ``keep`` vector give the mask that relabeling after each policy
-    would. The largest survivor is the first kept label of maximal size, which
-    breaks ties on the x-fastest first voxel as ``connected_components`` does.
+    Every policy keeps or drops whole components, so one labeling of the
+    foreground box and a shrinking ``keep`` vector give the mask that
+    relabeling after each policy would. The largest survivor is the first kept
+    label of maximal size, which breaks ties on the x-fastest first voxel. A
+    seed outside the foreground box lies on the background.
     """
     if not policies:
         return mask
-    labels, sizes = label_components(mask, connectivity)
+    labels, sizes, box = connected_components(mask, connectivity)
     keep = np.arange(len(sizes)) > 0  # every component, not the background
     for policy in policies:
         if isinstance(policy, KeepLargest):
@@ -264,7 +265,8 @@ def postprocess(mask: Mask, policies, connectivity: Connectivity = Connectivity.
         elif isinstance(policy, MinSize):
             keep &= sizes >= policy.voxels
         elif isinstance(policy, KeepSeeded):
-            hit = [int(labels[require_in_bounds(s, mask.dims)]) for s in policy.seeds]
+            local = [np.subtract(require_in_bounds(s, mask.dims), box.lo) for s in policy.seeds]
+            hit = [int(labels[tuple(p)]) for p in local if in_bounds(p, labels.shape)]
             hit = [label for label in hit if keep[label]]
             if not hit:
                 raise DegenerateInputError("no seed lies inside a foreground component")
@@ -272,4 +274,7 @@ def postprocess(mask: Mask, policies, connectivity: Connectivity = Connectivity.
             keep[hit] = True
         else:
             raise ConfigError(f"unknown post-processing policy {policy!r}")
-    return Mask(np.take(keep, labels, out=np.empty_like(mask.data)), mask.spacing)
+    out = np.zeros_like(mask.data)
+    # fancy indexing gathers through the int32 labels; np.take would copy them to intp
+    out[box.slices()] = keep[labels]
+    return Mask(out, mask.spacing)

@@ -138,6 +138,15 @@ def directed_hd_edt(a: np.ndarray, b: np.ndarray, spacing) -> float:
     return float(ndimage.distance_transform_edt(~b, sampling=spacing)[a].max())
 
 
+def place_in_grid(rng: np.random.Generator, mask: np.ndarray, dims) -> np.ndarray:
+    """``mask`` at a random offset inside an empty grid of ``dims``. A grid
+    larger along every axis makes the foreground box a strict sub-box."""
+    out = np.zeros(dims, dtype=bool)
+    lo = [int(rng.integers(0, n - m + 1)) for n, m in zip(dims, mask.shape)]
+    out[tuple(slice(l, l + m) for l, m in zip(lo, mask.shape))] = mask
+    return out
+
+
 def random_mask(rng: np.random.Generator, dims, p: float = 0.35, nonempty: bool = True) -> np.ndarray:
     while True:
         m = rng.random(dims) < p

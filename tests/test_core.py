@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from biliseg import (BoundsError, ConfigError, Connectivity, DegenerateInputError,
+from biliseg import (BBox, BoundsError, ConfigError, Connectivity, DegenerateInputError,
                      GeometryError, Mask, Spacing, Volume, bbox_of, connected_components,
                      index_from_linear, linear_index, voxel_to_world)
-from biliseg.core import label_components
-from conftest import ordered_components, random_mask, union_find_components
+from conftest import ordered_components, place_in_grid, random_mask, union_find_components
 
 SP = Spacing(1.0, 1.0, 1.0)
 
@@ -82,83 +81,87 @@ class TestLinearIndex:
         assert linear_index((0, 0, 1), dims) == 12
 
 
+def full_labels(labels, box, dims) -> np.ndarray:
+    """The box labels of ``connected_components`` placed on the whole grid."""
+    full = np.zeros(dims, dtype=labels.dtype)
+    full[box.slices()] = labels
+    return full
+
+
 class TestConnectedComponents:
     def test_empty_mask(self):
-        labels = connected_components(Mask(np.zeros((3, 3, 3), bool), SP))
-        assert labels.num_components == 0
-        assert not labels.data.any()
+        labels, sizes, box = connected_components(Mask(np.zeros((3, 3, 3), bool), SP))
+        assert len(sizes) - 1 == 0
+        assert box == BBox((0, 0, 0), (2, 2, 2))
+        assert not labels.any()
 
     def test_corner_touch(self):
         m = mask_of([(0, 0, 0), (1, 1, 1)], (3, 3, 3))
-        assert connected_components(m, Connectivity.FACE6).num_components == 2
-        assert connected_components(m, Connectivity.VERTEX26).num_components == 1
+        assert len(connected_components(m, Connectivity.FACE6)[1]) - 1 == 2
+        assert len(connected_components(m, Connectivity.VERTEX26)[1]) - 1 == 1
 
     def test_edge_touch(self):
         m = mask_of([(0, 0, 0), (1, 1, 0)], (3, 3, 3))
-        assert connected_components(m, Connectivity.FACE6).num_components == 2
-        assert connected_components(m, Connectivity.EDGE18).num_components == 1
+        assert len(connected_components(m, Connectivity.FACE6)[1]) - 1 == 2
+        assert len(connected_components(m, Connectivity.EDGE18)[1]) - 1 == 1
 
     def test_full_grid(self):
         m = Mask(np.ones((4, 5, 3), bool), SP)
-        labels = connected_components(m)
-        assert labels.num_components == 1
-        assert (labels.data == 1).all()
-        assert labels.component_sizes()[0] == 4 * 5 * 3
-
-    def test_labels_ordered_by_size(self):
-        m = np.zeros((12, 4, 1), bool)
-        m[0:5, 0, 0] = True   # size 5
-        m[7:9, 0, 0] = True   # size 2
-        m[11, 0, 0] = True    # size 1
-        labels = connected_components(Mask(m, SP), Connectivity.FACE6)
-        assert labels.num_components == 3
-        sizes = labels.component_sizes()
-        assert list(sizes) == [5, 2, 1]
-        assert labels.data[0, 0, 0] == 1
-        assert labels.data[7, 0, 0] == 2
-        assert labels.data[11, 0, 0] == 3
+        labels, sizes, box = connected_components(m)
+        assert box == BBox((0, 0, 0), (3, 4, 2))
+        assert (labels == 1).all()
+        assert list(sizes) == [0, 4 * 5 * 3]
 
     def test_tie_broken_by_first_linear_index(self):
         # two single-voxel components; x-fastest order decides labels
         m = mask_of([(3, 0, 0), (0, 1, 0)], (4, 4, 1))
-        labels = connected_components(Mask(m.data, SP), Connectivity.FACE6)
-        assert labels.data[3, 0, 0] == 1  # linear index 3 < 4
-        assert labels.data[0, 1, 0] == 2
+        labels, _, box = connected_components(m, Connectivity.FACE6)
+        full = full_labels(labels, box, m.dims)
+        assert full[3, 0, 0] == 1  # linear index 3 < 4
+        assert full[0, 1, 0] == 2
 
     def test_count_monotone_in_connectivity(self):
         rng = np.random.default_rng(42)
         for _ in range(30):
             m = Mask(random_mask(rng, (6, 6, 3), p=0.4, nonempty=False), SP)
-            c26 = connected_components(m, Connectivity.VERTEX26).num_components
-            c18 = connected_components(m, Connectivity.EDGE18).num_components
-            c6 = connected_components(m, Connectivity.FACE6).num_components
+            c26 = len(connected_components(m, Connectivity.VERTEX26)[1])
+            c18 = len(connected_components(m, Connectivity.EDGE18)[1])
+            c6 = len(connected_components(m, Connectivity.FACE6)[1])
             assert c26 <= c18 <= c6
 
     @pytest.mark.parametrize("conn", list(Connectivity))
     def test_matches_union_find_oracle(self, conn):
         rng = np.random.default_rng(int(conn))
         offsets = [tuple(o) for o in conn.offsets()]
+        grids = [np.zeros((9, 9, 5), bool)]
         for _ in range(200):
-            c_order = random_mask(rng, (6, 6, 3), p=rng.uniform(0.15, 0.6), nonempty=False)
+            drawn = random_mask(rng, (6, 6, 3), p=rng.uniform(0.15, 0.6), nonempty=False)
+            # the drawn grid, which its foreground nearly always spans, and the
+            # same mask as a strict sub-box of a larger empty grid
+            grids += [drawn, place_in_grid(rng, drawn, (9, 9, 5))]
+        for c_order in grids:
             expected = union_find_components(c_order, offsets)
             want, k = ordered_components(c_order, conn)
             for data in (c_order, np.asfortranarray(c_order)):
-                labels = connected_components(Mask(data, SP), conn)
-                assert labels.num_components == len(expected) == k
+                mask = Mask(data, SP)
+                labels, sizes, box = connected_components(mask, conn)
+                assert box == (bbox_of(mask) if data.any() else BBox((0, 0, 0), tuple(n - 1 for n in data.shape)))
+                assert len(sizes) - 1 == len(expected) == k
+                assert np.array_equal(sizes, np.bincount(labels.ravel(), minlength=k + 1))
+                full = full_labels(labels, box, data.shape)
                 groups: dict[int, set] = {}
                 for p in map(tuple, np.argwhere(data)):
-                    groups.setdefault(int(labels.data[p]), set()).add(p)
+                    groups.setdefault(int(full[p]), set()).add(p)
                 assert 0 not in groups
                 assert set(map(frozenset, groups.values())) == set(expected)
-                # same partition, and the same label on each component
-                assert np.array_equal(labels.data, want)
-                # raw numbering: by first voxel in x-fastest order, same partition
-                raw, sizes = label_components(Mask(data, SP), conn)
-                flat = raw.ravel(order="F")
+                assert not full[~data].any()
+                # numbered by first voxel in x-fastest order
+                flat = full.ravel(order="F")
                 assert list(dict.fromkeys(flat[flat > 0].tolist())) == list(range(1, k + 1))
-                assert np.array_equal(sizes, np.bincount(flat, minlength=k + 1))
-                assert len(set(zip(raw[data].tolist(), want[data].tolist()))) == k
-                assert not raw[~data].any()
+                # so a stable sort by decreasing size gives the ordered labels
+                by_size = np.zeros(k + 1, dtype=np.int32)
+                by_size[np.argsort(-sizes[1:], kind="stable") + 1] = np.arange(1, k + 1)
+                assert np.array_equal(by_size[full], want)
 
 
 class TestBBox:

@@ -6,7 +6,8 @@ from scipy import ndimage
 from biliseg import (Connectivity, DegenerateInputError, GeometryError, Mask,
                      Spacing, bbox_of, dice, distance_transform, evaluate, hausdorff,
                      metrics, rvd, topology_report)
-from conftest import directed_hd_edt, hausdorff_brute, ordered_components, random_mask
+from conftest import (directed_hd_edt, hausdorff_brute, ordered_components, place_in_grid,
+                      random_mask)
 
 SP = Spacing(1.0, 1.0, 1.0)
 # spacings whose squared steps give different floats when summed in another
@@ -380,12 +381,22 @@ class TestTopology:
 
     def test_matches_overlap_matrix_oracle(self):
         rng = np.random.default_rng(41)
+        empty = np.zeros((11, 11, 5), bool)
+        pairs = [(empty, empty)]
         for _ in range(40):
-            a = Mask(random_mask(rng, (8, 8, 3), p=rng.uniform(0.1, 0.4), nonempty=False), SP)
-            b = Mask(random_mask(rng, (8, 8, 3), p=rng.uniform(0.1, 0.4), nonempty=False), SP)
-            t = topology_report(a, b)
-            assert (t.outliers, t.missed_components, t.false_communicating,
-                    t.false_non_communicating) == overlap_matrix_counts(a, b)
+            a = random_mask(rng, (8, 8, 3), p=rng.uniform(0.1, 0.4), nonempty=False)
+            b = random_mask(rng, (8, 8, 3), p=rng.uniform(0.1, 0.4), nonempty=False)
+            # as drawn, then each a strict sub-box of a larger empty grid at
+            # its own offset, so the two label crops have different corners
+            pairs += [(a, b), (place_in_grid(rng, a, empty.shape), place_in_grid(rng, b, empty.shape)),
+                      (empty, place_in_grid(rng, b, empty.shape))]
+        for a, b in pairs:
+            for layout in (np.ascontiguousarray, np.asfortranarray):
+                pred, gt = Mask(layout(a), SP), Mask(layout(b), SP)
+                for x, y in ((pred, gt), (gt, pred)):
+                    t = topology_report(x, y)
+                    assert (t.outliers, t.missed_components, t.false_communicating,
+                            t.false_non_communicating) == overlap_matrix_counts(x, y)
 
 
 class TestEvaluate:

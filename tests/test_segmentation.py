@@ -414,8 +414,10 @@ class TestPostprocess:
         assert out.count() == 5
 
     def test_keep_seeded_background_rejected(self):
-        with pytest.raises(DegenerateInputError):
-            postprocess(self.make_components(), [KeepSeeded(seeds=((11, 0, 1),))])
+        # a background seed inside the foreground box, and one outside it (x = 11)
+        for seed in ((5, 5, 1), (11, 0, 1)):
+            with pytest.raises(DegenerateInputError):
+                postprocess(self.make_components(), [KeepSeeded(seeds=(seed,))])
 
     def test_policies_compose_in_order(self):
         out = postprocess(self.make_components(), [MinSize(4), KeepLargest()])
@@ -449,6 +451,14 @@ class TestPostprocess:
         dims = tuple(data.draw(st.integers(1, 6)) for _ in range(3))
         bits = data.draw(st.lists(st.booleans(), min_size=int(np.prod(dims)), max_size=int(np.prod(dims))))
         grid = np.array(bits, dtype=bool).reshape(dims)
+        placement = data.draw(st.sampled_from(("as drawn", "in a larger grid", "empty")))
+        if placement == "in a larger grid":  # a strict sub-box: seeds can miss the box
+            before = [data.draw(st.integers(0, 2)) for _ in range(3)]
+            after = [data.draw(st.integers(max(0, 1 - b), 2)) for b in before]
+            grid = np.pad(grid, list(zip(before, after)))
+            dims = grid.shape
+        elif placement == "empty":
+            grid = np.zeros(dims, bool)
         if data.draw(st.booleans()):
             grid = np.asfortranarray(grid)
         mask = Mask(grid, SP)
