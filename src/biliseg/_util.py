@@ -1,22 +1,22 @@
-"""Small shared helpers."""
+"""Small shared helpers; ``atomic_write`` is the package's only file writer."""
 from __future__ import annotations
 
 import os
 
 
-def atomic_write_bytes(path, blob: bytes) -> None:
-    """Write ``blob`` to ``path`` without ever leaving a partial file behind."""
+def atomic_write(path, *chunks) -> None:
+    """Write bytes-like ``chunks`` (bytes, C-contiguous arrays) to ``path`` in order, atomically.
+
+    They go to ``path.tmp``, which then replaces ``path``; on any failure the
+    temp file is removed and ``path`` is left as it was.
+    """
     path = os.fspath(path)
     tmp = path + ".tmp"
     try:
         with open(tmp, "wb") as f:
-            f.write(blob)
+            f.writelines(chunks)
         os.replace(tmp, path)
-    except OSError:
+    except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def atomic_write_text(path, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))

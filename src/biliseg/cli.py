@@ -32,7 +32,7 @@ from .segmentation import (FloodFillConfig, KeepLargest, KeepSeeded, MinSize,
                            RegionGrowConfig, ThresholdConfig, dual_threshold,
                            flood_fill, postprocess, region_grow)
 from .stats import mean_std, one_way_anova
-from ._util import atomic_write_text
+from ._util import atomic_write
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +141,7 @@ def _encode(value):
 
 
 def _write_json(path, doc) -> None:
-    atomic_write_text(path, json.dumps(doc, indent=2) + "\n")
+    atomic_write(path, (json.dumps(doc, indent=2) + "\n").encode("utf-8"))
 
 
 POLICIES = {"keep_largest": KeepLargest, "min_size": MinSize, "keep_seeded": KeepSeeded}

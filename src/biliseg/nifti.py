@@ -12,7 +12,7 @@ import numpy as np
 
 from .core import Mask, Spacing, Volume
 from .errors import FormatError
-from ._util import atomic_write_bytes
+from ._util import atomic_write
 
 HEADER_SIZE = 348
 VOX_OFFSET = 352
@@ -137,9 +137,10 @@ def read_nifti(path, as_mask: bool = False):
 
     spacing = Spacing(*pixdim)
     if as_mask:
-        if not np.isin(values, (0.0, 1.0)).all():
+        mask = values == 1
+        if not (mask | (values == 0)).all():
             raise FormatError(f"{path}: image holds values other than 0/1, cannot load as a mask")
-        return Mask(values != 0, spacing)
+        return Mask(mask, spacing)
     return Volume(values, spacing)
 
 
@@ -164,23 +165,20 @@ def write_nifti(obj, path) -> None:
     and data bit-exactly.
     """
     if isinstance(obj, Mask):
-        payload = obj.data.astype(np.uint8)
         code = 2
     elif isinstance(obj, Volume):
-        payload = obj.data
         code = 16
     else:
         raise TypeError(f"expected Volume or Mask, got {type(obj).__name__}")
+    # x-fastest on disk: the transpose of a Fortran-ordered body is C-contiguous
+    body = obj.data.astype(np.dtype(DTYPES[code]).newbyteorder("<"), order="F", copy=False)
 
     hdr = _blank_header()
     nx, ny, nz = obj.dims
     hdr["dim"] = (3, nx, ny, nz, 1, 1, 1, 1)
     hdr["pixdim"] = (1, obj.spacing.dx, obj.spacing.dy, obj.spacing.dz, 0, 0, 0, 0)
     hdr["datatype"] = code
-    hdr["bitpix"] = np.dtype(DTYPES[code]).itemsize * 8
+    hdr["bitpix"] = body.itemsize * 8
     hdr["scl_slope"] = 0.0
     hdr["scl_inter"] = 0.0
-
-    body = np.asfortranarray(payload).astype(payload.dtype.newbyteorder("<"), copy=False)
-    blob = hdr.tobytes() + b"\x00" * (VOX_OFFSET - HEADER_SIZE) + body.tobytes(order="F")
-    atomic_write_bytes(path, blob)
+    atomic_write(path, hdr, bytes(VOX_OFFSET - HEADER_SIZE), body.T)

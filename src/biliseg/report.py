@@ -16,7 +16,7 @@ import json
 
 from .errors import ConfigError
 from .metrics import MetricsReport
-from ._util import atomic_write_text
+from ._util import atomic_write
 
 # summary column -> the MetricsReport field it summarizes
 COLUMNS = {
@@ -93,13 +93,13 @@ def write_report(rows, fmt: str, path, anova=None) -> None:
                 col: None if res is None else {**dataclasses.asdict(res), "significant": res.significant}
                 for col, res in anova.items()
             }
-        atomic_write_text(path, json.dumps(doc, indent=2) + "\n")
+        text = json.dumps(doc, indent=2) + "\n"
     elif fmt == "csv":
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=REPORT_COLUMNS, lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
-        atomic_write_text(path, buf.getvalue())
+        text = buf.getvalue()
     else:  # markdown
         lines = [
             "| " + " | ".join(REPORT_COLUMNS) + " |",
@@ -119,4 +119,5 @@ def write_report(rows, fmt: str, path, anova=None) -> None:
                     f"- {col}: F({res.df_between}, {res.df_within}) = "
                     f"{res.f_stat:.6g}, p = {res.p_value:.6f}{star}"
                 )
-        atomic_write_text(path, "\n".join(lines) + "\n")
+        text = "\n".join(lines) + "\n"
+    atomic_write(path, text.encode("utf-8"))

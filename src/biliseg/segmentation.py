@@ -210,8 +210,8 @@ def sauvola_threshold_field(slice_values: np.ndarray, k: float = 0.3,
     y1 = np.clip(np.arange(ny) + h + 1, 0, ny)
 
     def rect(table):
-        return (table[np.ix_(x1, y1)] - table[np.ix_(x0, y1)]
-                - table[np.ix_(x1, y0)] + table[np.ix_(x0, y0)])
+        hi, lo = table.take(x1, axis=0), table.take(x0, axis=0)
+        return hi.take(y1, axis=1) - lo.take(y1, axis=1) - hi.take(y0, axis=1) + lo.take(y0, axis=1)
 
     count = (x1 - x0)[:, None] * (y1 - y0)[None, :]
     m = rect(S) / count

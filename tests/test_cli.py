@@ -262,6 +262,20 @@ class TestSegmentCommand:
                          "--config", write_json(tmp_path / f"{i}.json", cfg)]) == 0
             assert hashlib.sha256(out.read_bytes()).hexdigest() == want, (method, cfg)
 
+    # SHA-256 of the STL that mesh writes for the demo truth and for the demo
+    # regiongrow mask (the two masks are equal); pinned so that any change in
+    # triangle order, winding or float32 vertex values fails
+    DEMO_STL = "03c0658bbcc30af796d495fc6ecde24c7ad602a5b9ac81aa491bb9a95673ce13"
+
+    def test_demo_stl_bytes_are_pinned(self, tmp_path, demo_volume):
+        mask = tmp_path / "regiongrow.nii"
+        assert main(["segment", "--in", str(demo_volume), "--out", str(mask), "--method", "regiongrow",
+                     "--config", str(CONFIGS / "segment_demo.json")]) == 0
+        for src in (demo_volume.parent / "truth.nii", mask):
+            stl = tmp_path / f"{src.stem}.stl"
+            assert main(["mesh", "--in", str(src), "--out", str(stl)]) == 0
+            assert hashlib.sha256(stl.read_bytes()).hexdigest() == self.DEMO_STL, src.name
+
     def test_methods_are_called_through_their_module_names(self, tmp_path, demo_volume, monkeypatch):
         # a tracer sees a method only if segment calls it through the name it rebinds
         calls = []

@@ -104,6 +104,15 @@ class TestRead:
         with pytest.raises(FormatError, match="0/1"):
             read_nifti(path, as_mask=True)
 
+    @pytest.mark.parametrize("value", [0.5, -1.0, np.nan])
+    def test_mask_rejects_one_odd_float(self, tmp_path, value):
+        arr = np.zeros((2, 2, 2), dtype=np.float32)
+        arr[0, 1, 0] = 1.0
+        arr[1, 0, 1] = value
+        path = write_raw(tmp_path, "mk3.nii", raw_nifti_bytes(arr, (1, 1, 1), 16))
+        with pytest.raises(FormatError, match="0/1"):
+            read_nifti(path, as_mask=True)
+
 
 class TestWrite:
     def test_volume_round_trip(self, tmp_path):
