@@ -2,20 +2,18 @@
 
 __version__ = "0.1.0"
 
-from .core import (BBox, Connectivity, Mask, Spacing, Volume, bbox_of, connected_components,
-                   index_from_linear, linear_index, voxel_to_world)
+from .core import BBox, Connectivity, Mask, Spacing, Volume, bbox_of, connected_components
 from .errors import (BilisegError, BoundsError, ConfigError, DegenerateInputError,
                      FormatError, GeometryError)
 from .mesh import TriangleMesh, extract_surface_mesh, read_stl, write_stl
-from .metrics import (DistanceField, MetricsReport, TopologyCounts, dice,
-                      distance_transform, evaluate, hausdorff, rvd, topology_report)
+from .metrics import (MetricsReport, TopologyCounts, dice, distance_transform, evaluate,
+                      hausdorff, rvd, topology_report)
 from .nifti import read_nifti, write_nifti
 from .phantom import (CenterlineTree, PhantomParams, TubeSegment, generate_tree,
                       rasterize_tree, render_intensities)
 from .preprocess import PreprocessParams, dynamic_crop, embed_mask, percentile_stretch
-from .report import REPORT_COLUMNS, format_cell, metrics_to_dict, write_report
+from .report import metrics_to_dict, write_report
 from .segmentation import (FloodFillConfig, KeepLargest, KeepSeeded, MinSize,
                            RegionGrowConfig, ThresholdConfig, dual_threshold, flood_fill,
-                           grow_from_seed, postprocess, region_grow, sauvola_threshold,
-                           sauvola_threshold_field)
+                           postprocess, region_grow, sauvola_threshold_field)
 from .stats import AnovaResult, mean_std, one_way_anova, reg_inc_beta

@@ -3,9 +3,12 @@
 Conventions used throughout the package:
 
 * grids are indexed ``(ix, iy, iz)`` with dims ``(nx, ny, nz)``,
-* the linear index runs x fastest, then y, then z,
+* the linear (file) order runs x fastest, then y, then z,
 * voxel centers sit on a regular anisotropic lattice, voxel ``(ix, iy, iz)``
   is at ``(ix*dx, iy*dy, iz*dz)`` millimetres,
+* a neighborhood is the 3x3x3 element ``Connectivity.structure()`` takes
+  from ``scipy.ndimage.generate_binary_structure``; labeling and the seeded
+  growth engine both take that element,
 * component labels cover the foreground box only and number the components
   in the x-fastest order of their first voxel (``connected_components``).
 """
@@ -13,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from itertools import product
 
 import numpy as np
 from scipy import ndimage
@@ -57,48 +59,15 @@ class Connectivity(IntEnum):
     def in_slice(self) -> bool:
         return self in (Connectivity.EDGE4, Connectivity.VERTEX8)
 
-    def offsets(self) -> np.ndarray:
-        """Neighbor offsets as an (n, 3) int array of (dx, dy, dz) steps."""
-        offs = []
-        for d in product((-1, 0, 1), repeat=3):
-            if d == (0, 0, 0):
-                continue
-            ax, ay, az = (abs(c) for c in d)
-            keep = {
-                Connectivity.EDGE4: az == 0 and ax + ay == 1,
-                Connectivity.FACE6: ax + ay + az == 1,
-                Connectivity.VERTEX8: az == 0,
-                Connectivity.EDGE18: ax + ay + az <= 2,
-                Connectivity.VERTEX26: True,
-            }[self]
-            if keep:
-                offs.append(d)
-        return np.array(offs, dtype=np.int64)
-
     def structure(self) -> np.ndarray:
-        """3x3x3 boolean structuring element (for scipy.ndimage.label)."""
-        return structure_from_offsets(self.offsets())
-
-
-def structure_from_offsets(offsets) -> np.ndarray:
-    """3x3x3 boolean structuring element: the center plus one cell per step.
-
-    ``offsets`` is an (n, 3) array of unit steps in {-1, 0, 1}^3. No step may
-    be zero, and the set must be closed under negation (a step ``d`` needs its
-    ``-d``), because adjacency under a labeling structure is symmetric.
-    """
-    offs = np.asarray(offsets)
-    if offs.ndim != 2 or offs.shape[1] != 3 or not np.isin(offs, (-1, 0, 1)).all():
-        raise ConfigError(f"offsets must be an (n, 3) array of steps in {{-1, 0, 1}}, got {offs.tolist()!r}")
-    offs = offs.astype(np.int64)
-    if (offs == 0).all(axis=1).any():
-        raise ConfigError("offsets must not contain the zero step")
-    s = np.zeros((3, 3, 3), dtype=bool)
-    s[tuple((offs + 1).T)] = True
-    if not np.array_equal(s, s[::-1, ::-1, ::-1]):
-        raise ConfigError(f"offsets must be closed under negation, got {offs.tolist()!r}")
-    s[1, 1, 1] = True
-    return s
+        """3x3x3 boolean structuring element, center included (for
+        scipy.ndimage.label): ``generate_binary_structure`` of rank 1 (4, 6),
+        2 (8, 18) or 3 (26), with the z = 0 and z = 2 planes cleared for the
+        in-slice members. A fresh array on every call."""
+        s = ndimage.generate_binary_structure(3, {4: 1, 6: 1, 8: 2, 18: 2, 26: 3}[self])
+        if self.in_slice:
+            s[:, :, [0, 2]] = False
+        return s
 
 
 def _prepare_grid(data, dtype) -> np.ndarray:
@@ -176,37 +145,6 @@ def require_in_bounds(index, dims) -> tuple[int, int, int]:
     if len(index) != 3 or not in_bounds(index, dims):
         raise BoundsError(f"index {index} outside grid dims {tuple(dims)}")
     return index
-
-
-def voxel_to_world(index, spacing: Spacing, dims=None) -> tuple[float, float, float]:
-    """Map a voxel index to the mm coordinates of its center.
-
-    When ``dims`` are given the index is bounds-checked; negative indices are
-    always rejected.
-    """
-    if dims is not None:
-        require_in_bounds(index, dims)
-    elif any(i < 0 for i in index):
-        raise BoundsError(f"negative voxel index {tuple(index)}")
-    ix, iy, iz = index
-    return (ix * spacing.dx, iy * spacing.dy, iz * spacing.dz)
-
-
-def linear_index(index, dims) -> int:
-    """x-fastest linear index of a voxel."""
-    ix, iy, iz = require_in_bounds(index, dims)
-    nx, ny, _ = dims
-    return ix + nx * (iy + ny * iz)
-
-
-def index_from_linear(lin: int, dims) -> tuple[int, int, int]:
-    nx, ny, nz = dims
-    if not 0 <= lin < nx * ny * nz:
-        raise BoundsError(f"linear index {lin} outside grid of {nx * ny * nz} voxels")
-    ix = lin % nx
-    iy = (lin // nx) % ny
-    iz = lin // (nx * ny)
-    return (ix, iy, iz)
 
 
 def same_geometry(a, b) -> None:

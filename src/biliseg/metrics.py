@@ -9,7 +9,8 @@ to the bounding box of the source voxels outside the target and the target,
 and bounds on 8^3 blocks of that box prune an exact search against the
 target's shell. Only when the search would cost more than a distance
 transform of the box, or two nearest voxels tie to the last bit, does a
-distance transform of a box run.
+distance transform of a box run. ``distance_transform`` returns that
+transform as a plain float64 array.
 
 The topology counts are automated connected-component proxies for visual
 error tallies: spurious prediction components (outliers), ground-truth
@@ -24,7 +25,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy import ndimage
 
-from .core import Connectivity, Mask, Spacing, bbox_of, connected_components, same_geometry
+from .core import Connectivity, Mask, bbox_of, connected_components, same_geometry
 from .errors import DegenerateInputError
 
 # The exact Hausdorff search (_directed_hd) tiles the source voxels and the
@@ -65,18 +66,6 @@ class MetricsReport:
     false_non_communicating: int
 
 
-@dataclass(frozen=True, eq=False)
-class DistanceField:
-    """Per-voxel mm distance to the nearest foreground voxel center (0 on foreground)."""
-
-    data: np.ndarray
-    spacing: Spacing
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.data.shape
-
-
 def dice(pred: Mask, gt: Mask) -> float:
     """Overlap coefficient 2|X n Y| / (|X| + |Y|); 1.0 when both masks are
     empty, 0.0 when exactly one is."""
@@ -97,13 +86,13 @@ def rvd(pred: Mask, gt: Mask) -> float:
     return abs(pred.count() - ng) / ng
 
 
-def distance_transform(mask: Mask) -> DistanceField:
+def distance_transform(mask: Mask) -> np.ndarray:
     """Exact Euclidean distance (mm) from every voxel center to the nearest
-    foreground voxel center."""
+    foreground voxel center, as a C-contiguous float64 array of the mask's
+    dims (0 on the foreground)."""
     if not mask.data.any():
         raise DegenerateInputError("distance to an empty mask is undefined")
-    dist = ndimage.distance_transform_edt(~mask.data, sampling=mask.spacing.as_tuple())
-    return DistanceField(np.ascontiguousarray(dist), mask.spacing)
+    return ndimage.distance_transform_edt(~mask.data, sampling=mask.spacing.as_tuple())
 
 
 def hausdorff(pred: Mask, gt: Mask, mode: str = "symmetric") -> float:
@@ -126,7 +115,7 @@ def hausdorff(pred: Mask, gt: Mask, mode: str = "symmetric") -> float:
 
 
 def _directed_hd(a: Mask, b: Mask) -> float:
-    """``distance_transform(b).data[a.data].max()``, bit for bit, without a
+    """``distance_transform(b)[a.data].max()``, bit for bit, without a
     full-grid distance transform.
 
     Voxels of ``a`` inside ``b`` are at 0, so only ``out = a & ~b`` counts.
@@ -143,7 +132,7 @@ def _directed_hd(a: Mask, b: Mask) -> float:
     shell = _Shell(inner)
     found = _block_search(out, shell)
     if found is None:
-        return float(distance_transform(inner).data[out].max())
+        return float(distance_transform(inner)[out].max())
     return _edt_value_max(inner, shell, *found)
 
 
@@ -289,7 +278,7 @@ def _edt_value_max(b: Mask, shell: _Shell, voxels, dists) -> float:
         with_tied = b.data.copy()
         with_tied[tuple(tied.T)] = True
         box = bbox_of(Mask(with_tied, b.spacing))
-        field = distance_transform(Mask(b.data[box.slices()], b.spacing)).data
+        field = distance_transform(Mask(b.data[box.slices()], b.spacing))
         best = max(best, float(field[tuple((tied - box.lo).T)].max()))
     return best
 

@@ -71,6 +71,8 @@ class PhantomParams:
             raise ConfigError(f"branch_angle must be >= 0 degrees, got {self.branch_angle}")
         if self.max_depth < 0:
             raise ConfigError(f"max_depth must be >= 0, got {self.max_depth}")
+        if self.rng_seed < 0:
+            raise ConfigError(f"rng_seed must be >= 0, got {self.rng_seed}")
         branching = self.branch_probability > 0
         # 2**64 - 1 is over the cap already, so a deeper tree need not be counted
         worst = 2 ** min(self.max_depth + 1, 64) - 1 if branching else self.max_depth + 1

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .core import (Connectivity, Mask, Volume, connected_components, in_bounds,
-                   require_in_bounds, structure_from_offsets)
+from .core import Connectivity, Mask, Volume, connected_components, in_bounds, require_in_bounds
 from .errors import ConfigError, DegenerateInputError
 
 SeedPoint = tuple[int, int, int]
@@ -139,18 +138,17 @@ def dual_threshold(volume: Volume, cfg: ThresholdConfig) -> Mask:
     return Mask(out, volume.spacing)
 
 
-def grow_from_seed(allowed: np.ndarray, seed: SeedPoint, offsets: np.ndarray) -> np.ndarray:
-    """Voxels reachable from ``seed`` through ``allowed`` voxels, stepping by
-    ``offsets``. The seed is always included.
+def grow_from_seed(allowed: np.ndarray, seed: SeedPoint, structure: np.ndarray) -> np.ndarray:
+    """Voxels reachable from ``seed`` through ``allowed`` voxels, one step of
+    the 3x3x3 ``structure`` at a time. The seed is always included.
 
-    ``offsets`` must be nonzero unit steps in {-1, 0, 1}^3, closed under
-    negation (see ``structure_from_offsets``); anything else raises
-    ConfigError. With such steps, reachability is symmetric, so the reachable
+    ``structure`` is a ``Connectivity.structure()``, region growing's with
+    the +-z cells set when it propagates across slices. Such an element is
+    symmetric under negation, so reachability is symmetric and the reachable
     set is exactly the seed's connected component of ``allowed | {seed}``; it
     comes from one ``scipy.ndimage.label`` call and depends on no traversal
     order.
     """
-    structure = structure_from_offsets(offsets)
     region = np.array(allowed, dtype=bool)
     region[seed] = True
     labels, _ = ndimage.label(region, structure=structure)
@@ -165,34 +163,16 @@ def flood_fill(volume: Volume, cfg: FloodFillConfig) -> Mask:
     # one float64 temporary; the same arithmetic as astype(float64) - seed_value
     diff = np.subtract(volume.data, seed_value, dtype=np.float64)
     allowed = np.abs(diff, out=diff) <= cfg.tolerance
-    reached = grow_from_seed(allowed, seed, cfg.connectivity.offsets())
+    reached = grow_from_seed(allowed, seed, cfg.connectivity.structure())
     return Mask(reached, volume.spacing)
-
-
-def sauvola_threshold(slice_values: np.ndarray, x: int, y: int,
-                      k: float = 0.3, R: float = 100.0, window: int = 3) -> float:
-    """Local adaptive threshold at one pixel of a 2D slice.
-
-    T = m * (1 + k * (s / R - 1)) with m, s the mean and population standard
-    deviation over the window centered at (x, y), clipped to the slice bounds.
-    """
-    a = np.asarray(slice_values, dtype=np.float64)
-    if a.ndim != 2:
-        raise ConfigError(f"expected a 2D slice, got shape {a.shape}")
-    nx, ny = a.shape
-    if not (0 <= x < nx and 0 <= y < ny):
-        raise ConfigError(f"pixel ({x}, {y}) outside slice shape {a.shape}")
-    h = window // 2
-    w = a[max(0, x - h):min(nx, x + h + 1), max(0, y - h):min(ny, y + h + 1)]
-    m = float(w.mean())
-    s = float(w.std())
-    return m * (1.0 + k * (s / R - 1.0))
 
 
 def sauvola_threshold_field(slice_values: np.ndarray, k: float = 0.3,
                             R: float = 100.0, window: int = 3) -> np.ndarray:
     """Adaptive threshold at every pixel of a 2D slice.
 
+    T = m * (1 + k * (s / R - 1)) with m, s the mean and population standard
+    deviation over the ``window`` x ``window`` window centered on the pixel.
     Window sums come from summed-area tables; border windows are clipped, and
     each pixel's mean/std covers exactly the in-bounds part of its window.
     """
@@ -238,10 +218,9 @@ def region_grow(volume: Volume, cfg: RegionGrowConfig) -> Mask:
         field_z = sauvola_threshold_field(data[:, :, z], cfg.k, cfg.R, cfg.window)
         allowed[:, :, z] = data[:, :, z].astype(np.float64) >= field_z
 
-    offsets = cfg.in_slice_connectivity.offsets()
-    if cfg.propagate_slices:
-        offsets = np.concatenate([offsets, [[0, 0, 1], [0, 0, -1]]], axis=0)
-    reached = grow_from_seed(allowed, seed, offsets)
+    structure = cfg.in_slice_connectivity.structure()
+    structure[1, 1, [0, 2]] = cfg.propagate_slices
+    reached = grow_from_seed(allowed, seed, structure)
     return Mask(reached, volume.spacing)
 
 

@@ -32,9 +32,7 @@ def mean_std(samples) -> tuple[float, float]:
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 1 or len(x) < 2:
         raise DegenerateInputError(f"need at least 2 samples, got {x.size}")
-    m = float(x.mean())
-    s = math.sqrt(float(((x - m) ** 2).sum()) / (len(x) - 1))
-    return m, s
+    return float(x.mean()), float(np.std(x, ddof=1))
 
 
 def _betacf(a: float, b: float, x: float) -> float:

@@ -1,7 +1,9 @@
-"""Shared test helpers: independent file-format and labeling oracles."""
+"""Shared test helpers: independent file-format, neighborhood, labeling and
+threshold oracles."""
 from __future__ import annotations
 
 import struct
+from itertools import product
 
 import numpy as np
 from scipy import ndimage
@@ -31,6 +33,40 @@ def raw_nifti_bytes(array_xyz: np.ndarray, pixdim, datatype_code: int, *,
     payload = array_xyz.astype(np.dtype(np_map[datatype_code]).newbyteorder(endian))
     body = payload.ravel(order="F").tobytes()
     return bytes(hdr) + b"\x00" * (vox_offset - 348) + body
+
+
+def neighbor_offsets(conn) -> list[tuple[int, int, int]]:
+    """The unit (dx, dy, dz) steps of a ``Connectivity``, by the rule its name
+    states: 4 and 8 stay in the slice (edge, then edge or vertex neighbors),
+    6, 18 and 26 step across at most one, two or three axes."""
+    offs = []
+    for d in product((-1, 0, 1), repeat=3):
+        if d == (0, 0, 0):
+            continue
+        ax, ay, az = (abs(c) for c in d)
+        keep = {
+            4: az == 0 and ax + ay == 1,
+            6: ax + ay + az == 1,
+            8: az == 0,
+            18: ax + ay + az <= 2,
+            26: True,
+        }[int(conn)]
+        if keep:
+            offs.append(d)
+    return offs
+
+
+def sauvola_threshold(slice_values, x: int, y: int, k: float = 0.3, R: float = 100.0,
+                      window: int = 3) -> float:
+    """Reference adaptive threshold at one pixel of a 2D slice, from the window
+    itself: T = m * (1 + k * (s / R - 1)) with m, s the mean and population
+    standard deviation over the window centered at (x, y), clipped to the
+    slice bounds."""
+    a = np.asarray(slice_values, dtype=np.float64)
+    nx, ny = a.shape
+    h = window // 2
+    w = a[max(0, x - h):min(nx, x + h + 1), max(0, y - h):min(ny, y + h + 1)]
+    return float(w.mean()) * (1.0 + k * (float(w.std()) / R - 1.0))
 
 
 def union_find_components(mask: np.ndarray, offsets) -> list[frozenset]:

@@ -10,10 +10,11 @@ import pytest
 from biliseg import (Connectivity, FloodFillConfig, Mask, PhantomParams,
                      PreprocessParams, RegionGrowConfig, Spacing, ThresholdConfig,
                      Volume, dice, dual_threshold, evaluate, flood_fill,
-                     format_cell, generate_tree, hausdorff, percentile_stretch,
+                     generate_tree, hausdorff, percentile_stretch,
                      rasterize_tree, read_nifti, region_grow, render_intensities,
-                     rvd, sauvola_threshold, topology_report, write_nifti)
-from conftest import (flood_fill_bfs, hausdorff_brute, random_mask,
+                     rvd, sauvola_threshold_field, topology_report, write_nifti)
+from biliseg.report import format_cell
+from conftest import (flood_fill_bfs, hausdorff_brute, neighbor_offsets, random_mask,
                       raw_nifti_bytes, union_find_components)
 
 
@@ -76,7 +77,7 @@ def test_c03_flood_fill_oracle():
     for dims in ((16, 16, 1), (8, 8, 4)):
         for conn in (Connectivity.FACE6, Connectivity.VERTEX26):
             rng = np.random.default_rng(hash((dims, int(conn))) % 2**32)
-            offsets = [tuple(o) for o in conn.offsets()]
+            offsets = neighbor_offsets(conn)
             for _ in range(26):
                 data = rng.integers(0, 9, dims).astype(np.float32) * 12.0
                 seed = tuple(int(rng.integers(0, n)) for n in dims)
@@ -103,7 +104,7 @@ def test_c04_sauvola_unit_values():
     """Uniform window returns m*(1-k) exactly; the single-bright-center 3x3
     window matches its hand computation within 1e-6; k=0 returns the mean."""
     uniform = np.full((3, 3), 100.0)
-    t_uniform = sauvola_threshold(uniform, 1, 1, k=0.3, R=100.0)
+    t_uniform = float(sauvola_threshold_field(uniform, k=0.3, R=100.0)[1, 1])
     assert t_uniform == 100.0 * (1.0 - 0.3)
     assert t_uniform == 70.0
 
@@ -112,14 +113,14 @@ def test_c04_sauvola_unit_values():
     m = 255.0 / 9.0
     s = math.sqrt((8.0 * m ** 2 + (255.0 - m) ** 2) / 9.0)
     hand = m * (1.0 + 0.3 * (s / 100.0 - 1.0))
-    got = sauvola_threshold(window, 1, 1, k=0.3, R=100.0)
+    got = float(sauvola_threshold_field(window, k=0.3, R=100.0)[1, 1])
     assert abs(got - hand) <= 1e-6
     assert got == pytest.approx(26.6451286, abs=1e-6)
 
     rng = np.random.default_rng(104)
     sl = rng.uniform(0, 255, (5, 5))
-    assert sauvola_threshold(sl, 2, 2, k=0.0) == pytest.approx(float(sl[1:4, 1:4].mean()),
-                                                               rel=1e-12)
+    assert sauvola_threshold_field(sl, k=0.0)[2, 2] == pytest.approx(float(sl[1:4, 1:4].mean()),
+                                                                     rel=1e-12)
     print(f"\nACCEPTANCE 04 sauvola-unit-values: PASS (uniform {t_uniform}, center {got:.7f})")
 
 

@@ -122,6 +122,16 @@ class TestPhantomCommand:
                    "--out-truth", str(tmp_path / "t.nii")])
         assert rc == 2
 
+    def test_negative_rng_seed_exit_2(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "p.json", dict(PHANTOM, rng_seed=-1))
+        rc = main(["phantom", "--config", cfg,
+                   "--out-volume", str(tmp_path / "v.nii"),
+                   "--out-truth", str(tmp_path / "t.nii")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "rng_seed" in err
+        assert not (tmp_path / "v.nii").exists() and not (tmp_path / "t.nii").exists()
+
     def test_unwritable_output_exit_3(self, tmp_path):
         cfg = write_json(tmp_path / "p.json", PHANTOM)
         rc = main(["phantom", "--config", cfg,

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from biliseg import (BBox, BoundsError, ConfigError, Connectivity, DegenerateInputError,
-                     GeometryError, Mask, Spacing, Volume, bbox_of, connected_components,
-                     index_from_linear, linear_index, voxel_to_world)
-from conftest import ordered_components, place_in_grid, random_mask, union_find_components
+from biliseg import (BBox, ConfigError, Connectivity, DegenerateInputError, GeometryError, Mask,
+                     Spacing, Volume, bbox_of, connected_components)
+from conftest import (neighbor_offsets, ordered_components, place_in_grid, random_mask,
+                      union_find_components)
 
 SP = Spacing(1.0, 1.0, 1.0)
 
@@ -42,43 +42,6 @@ class TestVolume:
         v = Volume(np.zeros((2, 2, 2)), SP)
         with pytest.raises(ValueError):
             v.data[0, 0, 0] = 1.0
-
-
-class TestVoxelToWorld:
-    def test_origin(self):
-        assert voxel_to_world((0, 0, 0), Spacing(1.094, 1.094, 1.5)) == (0.0, 0.0, 0.0)
-
-    def test_in_plane_step(self):
-        x, y, z = voxel_to_world((1, 0, 0), Spacing(1.094, 1.094, 1.5))
-        assert (x, y, z) == (1.094, 0.0, 0.0)
-
-    def test_through_plane_step(self):
-        assert voxel_to_world((0, 0, 2), Spacing(0.664, 0.664, 2.0)) == (0.0, 0.0, 4.0)
-
-    def test_out_of_bounds(self):
-        with pytest.raises(BoundsError):
-            voxel_to_world((5, 0, 0), SP, dims=(4, 4, 4))
-        with pytest.raises(BoundsError):
-            voxel_to_world((-1, 0, 0), SP)
-
-
-class TestLinearIndex:
-    def test_round_trip_exhaustive(self):
-        dims = (4, 3, 5)
-        seen = set()
-        for ix in range(4):
-            for iy in range(3):
-                for iz in range(5):
-                    lin = linear_index((ix, iy, iz), dims)
-                    assert index_from_linear(lin, dims) == (ix, iy, iz)
-                    seen.add(lin)
-        assert seen == set(range(4 * 3 * 5))
-
-    def test_x_fastest(self):
-        dims = (4, 3, 5)
-        assert linear_index((1, 0, 0), dims) == 1
-        assert linear_index((0, 1, 0), dims) == 4
-        assert linear_index((0, 0, 1), dims) == 12
 
 
 def full_labels(labels, box, dims) -> np.ndarray:
@@ -132,7 +95,7 @@ class TestConnectedComponents:
     @pytest.mark.parametrize("conn", list(Connectivity))
     def test_matches_union_find_oracle(self, conn):
         rng = np.random.default_rng(int(conn))
-        offsets = [tuple(o) for o in conn.offsets()]
+        offsets = neighbor_offsets(conn)
         grids = [np.zeros((9, 9, 5), bool)]
         for _ in range(200):
             drawn = random_mask(rng, (6, 6, 3), p=rng.uniform(0.15, 0.6), nonempty=False)
@@ -204,22 +167,20 @@ class TestConnectivityStructure:
         assert s[1, 1, 1]
         assert (s == s[::-1, ::-1, ::-1]).all()
 
+    @pytest.mark.parametrize("conn", list(Connectivity))
+    def test_structure_matches_the_named_steps(self, conn):
+        expected = np.zeros((3, 3, 3), dtype=bool)
+        expected[1, 1, 1] = True
+        for d in neighbor_offsets(conn):
+            expected[tuple(np.add(d, 1))] = True
+        s = conn.structure()
+        assert s.dtype == bool and s.shape == (3, 3, 3)
+        assert np.array_equal(s, expected)
+
     def test_offset_counts_match_names(self):
         for conn in Connectivity:
-            assert len(conn.offsets()) == int(conn)
+            assert conn.structure().sum() - 1 == int(conn)
 
     def test_in_slice_offsets_have_no_z(self):
         for conn in (Connectivity.EDGE4, Connectivity.VERTEX8):
-            assert (conn.offsets()[:, 2] == 0).all()
-
-
-class TestLinearIndexBounds:
-    def test_linear_index_out_of_bounds(self):
-        with pytest.raises(BoundsError):
-            linear_index((4, 0, 0), (4, 3, 5))
-
-    def test_index_from_linear_out_of_bounds(self):
-        with pytest.raises(BoundsError):
-            index_from_linear(60, (4, 3, 5))
-        with pytest.raises(BoundsError):
-            index_from_linear(-1, (4, 3, 5))
+            assert not conn.structure()[:, :, [0, 2]].any()

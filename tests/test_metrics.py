@@ -162,19 +162,25 @@ class TestDistanceTransform:
     def test_three_four_five(self):
         m = mask_of([(0, 0, 0)], (5, 6, 2))
         field = distance_transform(m)
-        assert field.data[3, 4, 0] == pytest.approx(5.0, abs=1e-12)
+        assert field[3, 4, 0] == pytest.approx(5.0, abs=1e-12)
 
     def test_anisotropic_slice_distance(self):
         m = mask_of([(2, 2, 0)], (5, 5, 3), Spacing(1, 1, 2))
         field = distance_transform(m)
-        assert field.data[2, 2, 1] == pytest.approx(2.0, abs=1e-12)
+        assert field[2, 2, 1] == pytest.approx(2.0, abs=1e-12)
 
     def test_zero_on_foreground(self):
         rng = np.random.default_rng(33)
         m = Mask(random_mask(rng, (6, 6, 4)), SP)
         field = distance_transform(m)
-        assert (field.data[m.data] == 0.0).all()
-        assert np.isfinite(field.data).all()
+        assert (field[m.data] == 0.0).all()
+        assert np.isfinite(field).all()
+
+    def test_plain_c_contiguous_float64_array(self):
+        data = np.asfortranarray(random_mask(np.random.default_rng(35), (6, 5, 4)))
+        field = distance_transform(Mask(data, SP))
+        assert type(field) is np.ndarray and field.dtype == np.float64
+        assert field.shape == data.shape and field.flags.c_contiguous
 
     def test_empty_mask_rejected(self):
         with pytest.raises(DegenerateInputError):
@@ -190,7 +196,7 @@ class TestDistanceTransform:
             grid = np.argwhere(np.ones_like(data)) * np.array(spacing.as_tuple())
             d2 = ((grid[:, None, :] - fg[None, :, :]) ** 2).sum(axis=2)
             expected = np.sqrt(d2.min(axis=1)).reshape(data.shape)
-            assert np.abs(field.data - expected).max() <= 1e-9
+            assert np.abs(field - expected).max() <= 1e-9
 
 
 class TestHausdorff:

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from biliseg import ConfigError, MetricsReport, format_cell, metrics_to_dict, write_report
+from biliseg import ConfigError, MetricsReport, metrics_to_dict, write_report
+from biliseg.report import format_cell
 from biliseg.stats import AnovaResult
 
 ROW = {

@@ -5,10 +5,11 @@ from hypothesis import given, settings, strategies as st
 from biliseg import (BoundsError, ConfigError, Connectivity, DegenerateInputError,
                      FloodFillConfig, KeepLargest, KeepSeeded, Mask, MinSize,
                      RegionGrowConfig, Spacing, ThresholdConfig, Volume,
-                     dual_threshold, flood_fill, grow_from_seed, postprocess, region_grow,
-                     sauvola_threshold, sauvola_threshold_field)
+                     dual_threshold, flood_fill, postprocess, region_grow, sauvola_threshold_field)
 from biliseg.phantom import CenterlineTree, PhantomParams, TubeSegment, rasterize_tree, render_intensities
-from conftest import flood_fill_bfs, ordered_components, reachable_bfs
+from biliseg.segmentation import grow_from_seed
+from conftest import (flood_fill_bfs, neighbor_offsets, ordered_components, reachable_bfs,
+                      sauvola_threshold)
 
 SP = Spacing(1.0, 1.0, 1.0)
 
@@ -81,7 +82,7 @@ class TestFloodFill:
     @pytest.mark.parametrize("conn", list(Connectivity))
     def test_matches_bfs_oracle(self, dims, conn):
         rng = np.random.default_rng(hash((dims, int(conn))) % 2**32)
-        offsets = [tuple(o) for o in conn.offsets()]
+        offsets = neighbor_offsets(conn)
         for _ in range(50):
             data = rng.integers(0, 8, dims).astype(np.float32) * 10.0
             seed = tuple(int(rng.integers(0, n)) for n in dims)
@@ -118,61 +119,49 @@ class TestFloodFill:
         assert not m.data[:, :, 0].any() and not m.data[:, :, 2].any()
 
 
-Z_STEPS = np.array([[0, 0, 1], [0, 0, -1]])
+Z_STEPS = [(0, 0, 1), (0, 0, -1)]
 
 
 @st.composite
 def growth_cases(draw):
     """A small allowed map (1-voxel dimensions included), a seed that lies
-    inside or outside it, and one connectivity's steps with or without the
-    +-z steps."""
+    inside or outside it, and one connectivity's structure with or without
+    the +-z cells set, with the steps that structure stands for."""
     dims = tuple(draw(st.integers(1, 6)) for _ in range(3))
     bits = draw(st.lists(st.booleans(), min_size=int(np.prod(dims)), max_size=int(np.prod(dims))))
     allowed = np.array(bits, dtype=bool).reshape(dims)
     seed = tuple(draw(st.integers(0, n - 1)) for n in dims)
     allowed[seed] = draw(st.booleans())
-    offsets = draw(st.sampled_from(list(Connectivity))).offsets()
+    conn = draw(st.sampled_from(list(Connectivity)))
+    structure, offsets = conn.structure(), neighbor_offsets(conn)
     if draw(st.booleans()):
-        offsets = np.concatenate([offsets, Z_STEPS], axis=0)
-    return allowed, seed, offsets
+        structure[1, 1, [0, 2]] = True
+        offsets = offsets + Z_STEPS
+    return allowed, seed, structure, offsets
 
 
 class TestGrowFromSeed:
     @settings(max_examples=300, deadline=None)
     @given(growth_cases())
     def test_matches_bfs_reachability(self, case):
-        allowed, seed, offsets = case
+        allowed, seed, structure, offsets = case
         before = allowed.copy()
-        got = grow_from_seed(allowed, seed, offsets)
+        got = grow_from_seed(allowed, seed, structure)
         assert got.dtype == bool and got.shape == allowed.shape
         assert {tuple(p) for p in np.argwhere(got)} == reachable_bfs(allowed, seed, offsets)
         assert (allowed == before).all()  # the input map is left untouched
-
-    @pytest.mark.parametrize("offsets", [
-        [[1, 0, 0]],                              # -x missing: not closed under negation
-        [[1, 1, 0], [-1, -1, 0], [0, 1, 0]],      # -y missing
-        [[0, 0, 0]],                              # zero step
-        [[2, 0, 0], [-2, 0, 0]],                  # not a unit step
-        [[0.5, 0, 0], [-0.5, 0, 0]],              # not an integer step
-        [1, 0, 0],                                # not an (n, 3) array
-        [[1, 0], [-1, 0]],
-    ])
-    def test_rejects_bad_offsets(self, offsets):
-        allowed = np.ones((3, 3, 3), dtype=bool)
-        with pytest.raises(ConfigError):
-            grow_from_seed(allowed, (1, 1, 1), np.array(offsets))
 
 
 class TestSauvola:
     def test_uniform_window_exact(self):
         s = np.full((5, 5), 100.0)
-        t = sauvola_threshold(s, 2, 2, k=0.3, R=100.0)
+        t = sauvola_threshold_field(s, k=0.3, R=100.0)[2, 2]
         assert t == 100.0 * (1.0 - 0.3)
 
     def test_single_bright_center(self):
         s = np.zeros((3, 3))
         s[1, 1] = 255.0
-        t = sauvola_threshold(s, 1, 1, k=0.3, R=100.0)
+        t = sauvola_threshold_field(s, k=0.3, R=100.0)[1, 1]
         m = 255.0 / 9.0
         var = (8 * m ** 2 + (255.0 - m) ** 2) / 9.0
         expected = m * (1.0 + 0.3 * (np.sqrt(var) / 100.0 - 1.0))
@@ -181,12 +170,12 @@ class TestSauvola:
     def test_k_zero_returns_window_mean(self):
         rng = np.random.default_rng(22)
         s = rng.uniform(0, 255, (7, 7))
-        t = sauvola_threshold(s, 3, 3, k=0.0)
+        t = sauvola_threshold_field(s, k=0.0)[3, 3]
         assert t == pytest.approx(float(s[2:5, 2:5].mean()), rel=1e-12)
 
     def test_border_window_clipped(self):
         s = np.arange(16, dtype=np.float64).reshape(4, 4)
-        t = sauvola_threshold(s, 0, 0, k=0.3, R=100.0)
+        t = sauvola_threshold_field(s, k=0.3, R=100.0)[0, 0]
         w = s[0:2, 0:2]
         expected = w.mean() * (1.0 + 0.3 * (w.std() / 100.0 - 1.0))
         assert t == pytest.approx(expected, rel=1e-12)
@@ -207,10 +196,6 @@ class TestSauvola:
         for window in (10**6 + 1, 2**63 + 1, 10**30 + 1):
             assert (sauvola_threshold_field(s, 0.3, 100.0, window) == whole).all()
         assert whole[4, 2] == pytest.approx(sauvola_threshold(s, 4, 2, 0.3, 100.0, 10**30 + 1), abs=1e-9)
-
-    def test_pixel_out_of_slice(self):
-        with pytest.raises(ConfigError):
-            sauvola_threshold(np.zeros((3, 3)), 3, 0)
 
 
 def straight_tube_case(dims=(24, 24, 8), spacing=Spacing(1, 1, 1.5), radius=3.0,
