@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import types
 import typing
@@ -30,7 +31,7 @@ from .preprocess import PreprocessParams, dynamic_crop, embed_mask, percentile_s
 from .report import COLUMNS, FORMATS, write_report
 from .segmentation import (FloodFillConfig, KeepLargest, KeepSeeded, MinSize,
                            RegionGrowConfig, ThresholdConfig, dual_threshold,
-                           flood_fill, postprocess, region_grow)
+                           flood_fill, postprocess, postprocess_grown, region_grow)
 from .stats import mean_std, one_way_anova
 from ._util import atomic_write
 
@@ -147,6 +148,9 @@ def _write_json(path, doc) -> None:
 POLICIES = {"keep_largest": KeepLargest, "min_size": MinSize, "keep_seeded": KeepSeeded}
 _POLICY_NAMES = {cls: name for name, cls in POLICIES.items()}
 METHODS = {"threshold": ThresholdConfig, "floodfill": FloodFillConfig, "regiongrow": RegionGrowConfig}
+# a seeded method whose grown mask covers more than this fraction of the input
+# grid has most likely leaked into the background; segment warns on stderr
+FLOOD_WARNING_FRACTION = 0.25
 
 
 def _policies_from_json(items) -> list:
@@ -222,6 +226,16 @@ def _run_method(method: str, work, cfg, box, nz: int):
 
 
 def cmd_segment(args) -> int:
+    """Stretch, optionally crop, segment and post-process a volume, then write
+    the mask and its provenance sidecar.
+
+    Only a threshold mask is labeled for post-processing. A flood-fill or
+    region-growing mask is one VERTEX26 component, before and after
+    ``embed_mask``, and the policies run with VERTEX26, so
+    ``postprocess_grown`` gives the same mask without labeling it. When such
+    a grown mask covers more than ``FLOOD_WARNING_FRACTION`` of the input
+    grid, one warning goes to stderr; outputs and exit code stay as they are.
+    """
     cfg = _load_json(args.config)
     _check_keys(cfg, ("method", "preprocess", *METHODS, "postprocess",
                       "input", "output", "tool", "version", "command", "derived"),
@@ -246,15 +260,18 @@ def cmd_segment(args) -> int:
         work, box = dynamic_crop(work, pre)
     local_mask = _run_method(method, work, method_cfg, box, volume.dims[2])
     mask = embed_mask(local_mask, box, volume.dims) if box else local_mask
+    seeded = method != "threshold"
+    reached = local_mask.count() / math.prod(volume.dims) if seeded else 0.0
 
     degenerate = False
     try:
-        mask = postprocess(mask, policies)
+        mask = (postprocess_grown if seeded else postprocess)(mask, policies)
     except DegenerateInputError:
         mask = Mask(np.zeros(volume.dims, dtype=bool), volume.spacing)
         degenerate = True
 
     write_nifti(mask, out_path)
+    n = mask.count()
     # provenance keeps the config as parsed, in original-grid coordinates, so
     # that a rerun with the sidecar as --config reproduces the run end to end
     sidecar = {
@@ -269,13 +286,16 @@ def cmd_segment(args) -> int:
         "postprocess": [{"policy": _POLICY_NAMES[type(p)], **_to_json(p)} for p in policies],
         "derived": {
             "crop_bbox": _to_json(box) if box else None,
-            "mask_voxels": mask.count(),
+            "mask_voxels": n,
         },
     }
     _write_json(str(out_path) + ".provenance.json", sidecar)
 
-    n = mask.count()
     print(f"segment[{method}]: {n} foreground voxels -> {out_path}")
+    if reached > FLOOD_WARNING_FRACTION:
+        print(f"warning: {method} reached {reached:.1%} of the input grid, more than "
+              f"{FLOOD_WARNING_FRACTION:.0%}; the region has likely leaked into the background",
+              file=sys.stderr)
     if degenerate or n == 0:
         print("segment: degenerate result (empty mask)", file=sys.stderr)
         return 4

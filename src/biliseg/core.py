@@ -115,7 +115,7 @@ class Mask:
 
     def count(self) -> int:
         """Number of foreground voxels."""
-        return int(self.data.sum())
+        return int(np.count_nonzero(self.data))
 
 
 @dataclass(frozen=True)

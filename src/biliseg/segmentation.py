@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .core import Connectivity, Mask, Volume, connected_components, in_bounds, require_in_bounds
+from .core import (BBox, Connectivity, Mask, Volume, bbox_of, connected_components, in_bounds,
+                   require_in_bounds)
 from .errors import ConfigError, DegenerateInputError
 
 SeedPoint = tuple[int, int, int]
@@ -233,10 +234,38 @@ def postprocess(mask: Mask, policies, connectivity: Connectivity = Connectivity.
     relabeling after each policy would. The largest survivor is the first kept
     label of maximal size, which breaks ties on the x-fastest first voxel. A
     seed outside the foreground box lies on the background.
+
+    A flood-fill or region-growing mask needs no labeling under VERTEX26:
+    each growth step lies in the 3x3x3 cube, so the mask is one VERTEX26
+    component, and ``postprocess_grown`` hands the same policy body its box
+    as the labels.
     """
     if not policies:
         return mask
-    labels, sizes, box = connected_components(mask, connectivity)
+    return _apply_policies(mask, policies, *connected_components(mask, connectivity))
+
+
+def postprocess_grown(mask: Mask, policies) -> Mask:
+    """``postprocess(mask, policies)`` for a nonempty mask that is a single
+    VERTEX26 component, without labeling it.
+
+    Every ``flood_fill`` and ``region_grow`` result is such a mask, before or
+    after ``embed_mask``: ``grow_from_seed`` returns the seed's component
+    under a 3x3x3 element, each of whose steps is a VERTEX26 step, and the
+    seed always belongs to it. The VERTEX26 labeling of its box is then the
+    box itself viewed as 0/1 labels.
+    """
+    if not policies:
+        return mask
+    box = bbox_of(mask)
+    labels = mask.data[box.slices()].view(np.uint8)
+    n = np.count_nonzero(labels)
+    return _apply_policies(mask, policies, labels, np.array([labels.size - n, n]), box)
+
+
+def _apply_policies(mask: Mask, policies, labels: np.ndarray, sizes: np.ndarray, box: BBox) -> Mask:
+    """The policy rules on one labeling ``(labels, sizes, box)`` of ``mask``,
+    as ``connected_components`` returns it."""
     keep = np.arange(len(sizes)) > 0  # every component, not the background
     for policy in policies:
         if isinstance(policy, KeepLargest):
@@ -254,6 +283,6 @@ def postprocess(mask: Mask, policies, connectivity: Connectivity = Connectivity.
         else:
             raise ConfigError(f"unknown post-processing policy {policy!r}")
     out = np.zeros_like(mask.data)
-    # fancy indexing gathers through the int32 labels; np.take would copy them to intp
+    # fancy indexing gathers through the integer labels; np.take would copy them to intp
     out[box.slices()] = keep[labels]
     return Mask(out, mask.spacing)

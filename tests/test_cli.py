@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from biliseg import Mask, Spacing, __version__, read_nifti, write_nifti
 import biliseg.cli
+import biliseg.segmentation
 from biliseg.cli import main
 from biliseg.phantom import MAX_SEGMENTS, MAX_VOXELS
 
@@ -299,6 +300,55 @@ class TestSegmentCommand:
             assert main(["segment", "--in", str(demo_volume), "--out", str(tmp_path / f"{method}.nii"),
                          "--method", method, "--config", str(CONFIGS / "segment_demo.json")]) == 0
             assert calls == [name]
+
+    def test_only_threshold_masks_are_labeled_for_postprocess(self, tmp_path, demo_volume, monkeypatch):
+        # a flood-fill or region-growing mask is one VERTEX26 component, so its
+        # postprocess needs no labeling; the crop labels through its own module
+        calls = []
+        original = biliseg.segmentation.connected_components
+        monkeypatch.setattr(biliseg.segmentation, "connected_components",
+                            lambda *a: calls.append(1) or original(*a))
+        for method, labelings in (("threshold", 1), ("floodfill", 0), ("regiongrow", 0)):
+            calls.clear()
+            assert main(["segment", "--in", str(demo_volume), "--out", str(tmp_path / f"{method}.nii"),
+                         "--method", method, "--config", str(CONFIGS / "segment_demo.json")]) == 0
+            assert len(calls) == labelings, method
+
+    def test_demo_configs_draw_no_warning(self, tmp_path, demo_volume, capsys):
+        capsys.readouterr()
+        for method in biliseg.cli.METHODS:
+            assert main(["segment", "--in", str(demo_volume), "--out", str(tmp_path / f"{method}.nii"),
+                         "--method", method, "--config", str(CONFIGS / "segment_demo.json")]) == 0
+            assert capsys.readouterr().err == "", method
+
+    def test_flooding_seeded_mask_warns_and_changes_nothing_else(self, tmp_path, phantom_files,
+                                                                 capsys, monkeypatch):
+        vol, _ = phantom_files
+        # a tolerance that spans the whole intensity range floods every voxel
+        cfg = write_json(tmp_path / "flood.json", {
+            "method": "floodfill", "floodfill": {"seed": [16, 16, 6], "tolerance": 255.0},
+            "postprocess": [{"policy": "keep_largest"}]})
+        runs = {}
+        for fraction in (biliseg.cli.FLOOD_WARNING_FRACTION, 1.0):
+            monkeypatch.setattr(biliseg.cli, "FLOOD_WARNING_FRACTION", fraction)
+            out = tmp_path / f"{fraction}.nii"
+            rc = main(["segment", "--in", str(vol), "--out", str(out), "--config", cfg])
+            captured = capsys.readouterr()
+            sidecar = (tmp_path / f"{fraction}.nii.provenance.json").read_text()
+            runs[fraction] = (rc, captured.out.replace(out.name, "OUT"), out.read_bytes(),
+                              sidecar.replace(out.name, "OUT"), captured.err)
+        (rc, out, mask, sidecar, err), quiet = runs.values()
+        assert err.startswith("warning: floodfill reached 100.0% of the input grid, more than 25%")
+        assert err.count("\n") == 1
+        assert quiet == (rc, out, mask, sidecar, "") and rc == 0
+
+    def test_flooding_threshold_mask_draws_no_warning(self, tmp_path, phantom_files, capsys):
+        vol, _ = phantom_files
+        cfg = write_json(tmp_path / "band.json", {
+            "method": "threshold", "threshold": {"t_min": -1.0, "t_max": 255.0}})
+        capsys.readouterr()
+        assert main(["segment", "--in", str(vol), "--out", str(tmp_path / "m.nii"), "--config", cfg]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_idempotent_bytes(self, tmp_path, phantom_files):
         vol, _ = phantom_files

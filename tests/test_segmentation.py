@@ -7,7 +7,9 @@ from biliseg import (BoundsError, ConfigError, Connectivity, DegenerateInputErro
                      RegionGrowConfig, Spacing, ThresholdConfig, Volume,
                      dual_threshold, flood_fill, postprocess, region_grow, sauvola_threshold_field)
 from biliseg.phantom import CenterlineTree, PhantomParams, TubeSegment, rasterize_tree, render_intensities
-from biliseg.segmentation import grow_from_seed
+from biliseg.core import BBox, connected_components
+from biliseg.preprocess import embed_mask
+from biliseg.segmentation import grow_from_seed, postprocess_grown
 from conftest import (flood_fill_bfs, neighbor_offsets, ordered_components, reachable_bfs,
                       sauvola_threshold)
 
@@ -462,6 +464,56 @@ class TestPostprocess:
         out = postprocess(mask, policies, connectivity).data
         assert np.array_equal(out, want)
         assert out.strides == grid.strides
+
+
+@st.composite
+def grown_masks(draw):
+    """A flood-fill or region-growing mask of a small random volume, as the
+    method returns it or embedded from a crop box into a larger grid, and the
+    seed in the mask's grid."""
+    dims = tuple(draw(st.integers(1, 6)) for _ in range(3))
+    levels = draw(st.lists(st.integers(0, 255), min_size=1, max_size=4))
+    size = int(np.prod(dims))
+    values = draw(st.lists(st.sampled_from(levels), min_size=size, max_size=size))
+    volume = vol(np.array(values, dtype=np.float32).reshape(dims))
+    seed = tuple(draw(st.integers(0, n - 1)) for n in dims)
+    if draw(st.booleans()):
+        mask = flood_fill(volume, FloodFillConfig(seed, float(draw(st.integers(0, 255))),
+                                                  draw(st.sampled_from(list(Connectivity)))))
+    else:
+        in_slice = draw(st.sampled_from((Connectivity.EDGE4, Connectivity.VERTEX8)))
+        mask = region_grow(volume, RegionGrowConfig(
+            seed, k=draw(st.sampled_from((0.1, 0.3, 0.6))), window=draw(st.sampled_from((3, 5))),
+            in_slice_connectivity=in_slice, propagate_slices=draw(st.booleans())))
+    if draw(st.booleans()):  # embed_mask from a crop box
+        lo = tuple(draw(st.integers(0, 2)) for _ in range(3))
+        full = tuple(l + n + draw(st.integers(0, 2)) for l, n in zip(lo, dims))
+        mask = embed_mask(mask, BBox(lo, tuple(l + n - 1 for l, n in zip(lo, dims))), full)
+        seed = tuple(s + l for s, l in zip(seed, lo))
+    return mask, seed
+
+
+class TestPostprocessGrown:
+    @settings(max_examples=300, deadline=None)
+    @given(grown_masks(), st.data())
+    def test_matches_postprocess(self, grown, data):
+        mask, seed = grown
+        assert len(connected_components(mask)[1]) == 2  # one VERTEX26 component
+        n = mask.count()
+        points = st.just(seed) | st.tuples(*(st.integers(0, d - 1) for d in mask.dims))
+        policies = data.draw(st.lists(
+            st.just(KeepLargest()) | st.builds(MinSize, st.integers(max(1, n - 2), n + 2))
+            | st.builds(KeepSeeded, st.lists(points, min_size=1, max_size=3).map(tuple)),
+            max_size=4))
+        try:
+            want = postprocess(mask, policies)
+        except DegenerateInputError:
+            with pytest.raises(DegenerateInputError):
+                postprocess_grown(mask, policies)
+            return
+        got = postprocess_grown(mask, policies)
+        assert got.data.tobytes() == want.data.tobytes()
+        assert got.data.strides == want.data.strides and got.spacing == want.spacing
 
 
 class TestDeterminism:
