@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 from .core import BBox, Connectivity, Mask, Spacing, Volume, bbox_of, connected_components
 from .errors import (BilisegError, BoundsError, ConfigError, DegenerateInputError,
                      FormatError, GeometryError)
-from .mesh import TriangleMesh, extract_surface_mesh, read_stl, write_stl
+from .mesh import extract_surface_mesh, read_stl, write_stl
 from .metrics import (MetricsReport, TopologyCounts, dice, distance_transform, evaluate,
                       hausdorff, rvd, topology_report)
 from .nifti import read_nifti, write_nifti

@@ -173,12 +173,13 @@ def rasterize_tree(tree: CenterlineTree, dims, spacing: Spacing) -> Mask:
         r = float(seg.radius)
         lo = np.minimum(a, b) - r
         hi = np.maximum(a, b) + r
-        i0 = np.floor(lo / sp).astype(np.int64) - 1
-        i1 = np.ceil(hi / sp).astype(np.int64) + 1
+        i0 = np.floor(lo / sp) - 1
+        i1 = np.ceil(hi / sp) + 1
         if (i1 < 0).any() or (i0 > np.array(dims) - 1).any():
             continue
-        i0 = np.maximum(i0, 0)
-        i1 = np.minimum(i1, np.array(dims) - 1)
+        # clamp while still float: a huge radius would overflow the int cast
+        i0 = np.maximum(i0, 0).astype(np.int64)
+        i1 = np.minimum(i1, np.array(dims) - 1).astype(np.int64)
 
         px = (np.arange(i0[0], i1[0] + 1) * sp[0])[:, None, None]
         py = (np.arange(i0[1], i1[1] + 1) * sp[1])[None, :, None]

@@ -1,5 +1,5 @@
-"""Shared test helpers: independent file-format, neighborhood, labeling and
-threshold oracles."""
+"""Shared test helpers: independent file-format, neighborhood, labeling,
+threshold and surface-mesh oracles."""
 from __future__ import annotations
 
 import struct
@@ -172,6 +172,49 @@ def directed_hd_edt(a: np.ndarray, b: np.ndarray, spacing) -> float:
     """Directed Hausdorff distance a->b read off one full-grid Euclidean
     distance transform of b: the maximum of the transform over a's voxels."""
     return float(ndimage.distance_transform_edt(~b, sampling=spacing)[a].max())
+
+
+def surface_faces_walk(mask: np.ndarray, spacing) -> tuple[np.ndarray, np.ndarray]:
+    """Reference voxel surface ``(vertices (n, 3, 3), normals (n, 3))`` in
+    float64 mm, one face at a time. Blocks come in the order x+, x-, y+, y-,
+    z+, z-; a block visits its exposed faces voxel by voxel in lexicographic
+    (ix, iy, iz) order and lists every quad's first triangle, then every
+    quad's second. A +axis face has the companion axes b = axis + 1 and
+    c = axis + 2 (mod 3), swapped on a -axis face, and its corners (b, c) =
+    (-, -), (+, -), (+, +), (-, +) lie half a spacing from the voxel center;
+    its triangles are corners (0, 1, 2) and (0, 2, 3), counter-clockwise seen
+    from outside."""
+    dims = mask.shape
+    sp = [float(s) for s in spacing]
+    corners = [(-1, -1), (1, -1), (1, 1), (-1, 1)]
+    verts, normals = [], []
+    for axis in range(3):
+        for sign in (1, -1):
+            b, c = (axis + 1) % 3, (axis + 2) % 3
+            if sign < 0:
+                b, c = c, b
+            quads = []
+            for p in product(*(range(n) for n in dims)):
+                q = list(p)
+                q[axis] += sign
+                if not mask[p] or (0 <= q[axis] < dims[axis] and mask[tuple(q)]):
+                    continue
+                quad = []
+                for sb, sc in corners:
+                    v = [p[k] * sp[k] for k in range(3)]
+                    v[axis] += sign * (sp[axis] / 2.0)
+                    v[b] += sb * (sp[b] / 2.0)
+                    v[c] += sc * (sp[c] / 2.0)
+                    quad.append(v)
+                quads.append(quad)
+            normal = [0.0, 0.0, 0.0]
+            normal[axis] = float(sign)
+            for tri in ((0, 1, 2), (0, 2, 3)):
+                for quad in quads:
+                    verts.append([quad[i] for i in tri])
+                    normals.append(normal)
+    return (np.array(verts, dtype=np.float64).reshape(-1, 3, 3),
+            np.array(normals, dtype=np.float64).reshape(-1, 3))
 
 
 def place_in_grid(rng: np.random.Generator, mask: np.ndarray, dims) -> np.ndarray:

@@ -133,6 +133,15 @@ class TestPhantomCommand:
         assert err.startswith("error: ") and "rng_seed" in err
         assert not (tmp_path / "v.nii").exists() and not (tmp_path / "t.nii").exists()
 
+    def test_huge_radius_fills_the_grid(self, tmp_path, capsys):
+        doc = dict(json.loads((CONFIGS / "phantom_demo.json").read_text()), radius_root=1e300)
+        cfg = write_json(tmp_path / "p.json", doc)
+        rc = main(["phantom", "--config", cfg,
+                   "--out-volume", str(tmp_path / "v.nii"),
+                   "--out-truth", str(tmp_path / "t.nii")])
+        assert rc == 0, capsys.readouterr().err
+        assert read_nifti(tmp_path / "t.nii", as_mask=True).data.all()
+
     def test_unwritable_output_exit_3(self, tmp_path):
         cfg = write_json(tmp_path / "p.json", PHANTOM)
         rc = main(["phantom", "--config", cfg,

@@ -2,10 +2,12 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from biliseg import (DegenerateInputError, Mask, Spacing, extract_surface_mesh,
+from biliseg import (DegenerateInputError, FormatError, Mask, Spacing, extract_surface_mesh,
                      read_stl, write_stl)
-from conftest import random_mask
+from biliseg.mesh import TRIANGLE_RECORD
+from conftest import random_mask, surface_faces_walk
 
 SP = Spacing(1.0, 1.0, 1.0)
 
@@ -66,12 +68,10 @@ class TestExtraction:
 
     def test_winding_matches_normals(self):
         rng = np.random.default_rng(6)
-        m = Mask(random_mask(rng, (4, 4, 4)), Spacing(1.0, 0.5, 2.0))
-        mesh = extract_surface_mesh(m)
-        cross = np.cross(mesh.vertices[:, 1] - mesh.vertices[:, 0],
-                         mesh.vertices[:, 2] - mesh.vertices[:, 0])
+        vertices, normals = surface_faces_walk(random_mask(rng, (4, 4, 4)), (1.0, 0.5, 2.0))
+        cross = np.cross(vertices[:, 1] - vertices[:, 0], vertices[:, 2] - vertices[:, 0])
         cross /= np.linalg.norm(cross, axis=1, keepdims=True)
-        assert np.allclose(cross, mesh.normals)
+        assert np.allclose(cross, normals)
 
     def test_triangle_count_and_area_match_oracle(self):
         rng = np.random.default_rng(7)
@@ -82,18 +82,36 @@ class TestExtraction:
             faces = count_exposed_faces(data)
             assert len(mesh) == 2 * faces
             assert len(mesh) % 2 == 0
-            mesh_area = sum(triangle_area(t) for t in mesh.vertices)
+            vertices, _ = surface_faces_walk(data, spacing.as_tuple())
+            mesh_area = sum(triangle_area(t) for t in vertices)
             assert mesh_area == pytest.approx(exposed_area(data, spacing.as_tuple()), rel=1e-9)
 
     def test_vertices_in_mm(self):
         m = np.zeros((2, 2, 2), bool)
         m[0, 0, 0] = True
-        mesh = extract_surface_mesh(Mask(m, Spacing(2.0, 1.0, 4.0)))
+        vertices, _ = surface_faces_walk(m, (2.0, 1.0, 4.0))
         # cube around the voxel center at the origin, half extents = spacing/2
-        lo = mesh.vertices.reshape(-1, 3).min(axis=0)
-        hi = mesh.vertices.reshape(-1, 3).max(axis=0)
+        lo = vertices.reshape(-1, 3).min(axis=0)
+        hi = vertices.reshape(-1, 3).max(axis=0)
         assert np.allclose(lo, (-1.0, -0.5, -2.0))
         assert np.allclose(hi, (1.0, 0.5, 2.0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_equals_face_walk_rounded_once(self, data):
+        dims = tuple(data.draw(st.integers(1, 6)) for _ in range(3))
+        bits = data.draw(st.lists(st.booleans(), min_size=int(np.prod(dims)),
+                                  max_size=int(np.prod(dims))))
+        mask = np.array(bits, dtype=bool).reshape(dims, order=data.draw(st.sampled_from("CF")))
+        mask[tuple(data.draw(st.integers(0, n - 1)) for n in dims)] = True
+        spacing = tuple(data.draw(st.floats(0.05, 20.0)) for _ in range(3))
+        vertices, normals = surface_faces_walk(mask, spacing)
+        expected = np.zeros(len(vertices), dtype=TRIANGLE_RECORD)
+        expected["vertices"] = vertices
+        expected["normal"] = normals
+        mesh = extract_surface_mesh(Mask(mask, Spacing(*spacing)))
+        assert mesh.dtype == TRIANGLE_RECORD
+        assert mesh.tobytes() == expected.tobytes()
 
 
 class TestStl:
@@ -116,10 +134,7 @@ class TestStl:
         mesh = extract_surface_mesh(Mask(random_mask(rng, (4, 3, 5)), Spacing(1, 1, 1.5)))
         path = tmp_path / "m.stl"
         write_stl(mesh, path)
-        back = read_stl(path)
-        assert len(back) == len(mesh)
-        assert np.allclose(back.vertices, mesh.vertices, atol=1e-6)
-        assert np.allclose(back.normals, mesh.normals)
+        assert np.array_equal(read_stl(path), mesh)
 
     def test_deterministic_bytes(self, tmp_path):
         rng = np.random.default_rng(9)
@@ -128,3 +143,13 @@ class TestStl:
         write_stl(extract_surface_mesh(mask), a)
         write_stl(extract_surface_mesh(mask), b)
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("blob", [
+        b"\x00" * 40,
+        b"\x00" * 80 + struct.pack("<I", 5) + b"\x00" * 60,  # 5 triangles need 250 bytes
+    ], ids=["short-header", "short-payload"])
+    def test_truncated_file_is_format_error(self, tmp_path, blob):
+        path = tmp_path / "t.stl"
+        path.write_bytes(blob)
+        with pytest.raises(FormatError):
+            read_stl(path)
