@@ -9,8 +9,8 @@ from .mesh import extract_surface_mesh, read_stl, write_stl
 from .metrics import (MetricsReport, TopologyCounts, dice, distance_transform, evaluate,
                       hausdorff, rvd, topology_report)
 from .nifti import read_nifti, write_nifti
-from .phantom import (CenterlineTree, PhantomParams, TubeSegment, generate_tree,
-                      rasterize_tree, render_intensities)
+from .phantom import (PhantomParams, TubeSegment, generate_tree, rasterize_tree,
+                      render_intensities)
 from .preprocess import PreprocessParams, dynamic_crop, embed_mask, percentile_stretch
 from .report import metrics_to_dict, write_report
 from .segmentation import (FloodFillConfig, KeepLargest, KeepSeeded, MinSize,

@@ -231,10 +231,10 @@ def cmd_segment(args) -> int:
 
     Only a threshold mask is labeled for post-processing. A flood-fill or
     region-growing mask is one VERTEX26 component, before and after
-    ``embed_mask``, and the policies run with VERTEX26, so
-    ``postprocess_grown`` gives the same mask without labeling it. When such
-    a grown mask covers more than ``FLOOD_WARNING_FRACTION`` of the input
-    grid, one warning goes to stderr; outputs and exit code stay as they are.
+    ``embed_mask``, so ``postprocess_grown`` gives the same mask without
+    labeling it. When such a grown mask covers more than
+    ``FLOOD_WARNING_FRACTION`` of the input grid, one warning goes to stderr;
+    outputs and exit code stay as they are.
     """
     cfg = _load_json(args.config)
     _check_keys(cfg, ("method", "preprocess", *METHODS, "postprocess",
@@ -263,12 +263,10 @@ def cmd_segment(args) -> int:
     seeded = method != "threshold"
     reached = local_mask.count() / math.prod(volume.dims) if seeded else 0.0
 
-    degenerate = False
     try:
         mask = (postprocess_grown if seeded else postprocess)(mask, policies)
     except DegenerateInputError:
         mask = Mask(np.zeros(volume.dims, dtype=bool), volume.spacing)
-        degenerate = True
 
     write_nifti(mask, out_path)
     n = mask.count()
@@ -296,7 +294,7 @@ def cmd_segment(args) -> int:
         print(f"warning: {method} reached {reached:.1%} of the input grid, more than "
               f"{FLOOD_WARNING_FRACTION:.0%}; the region has likely leaked into the background",
               file=sys.stderr)
-    if degenerate or n == 0:
+    if n == 0:
         print("segment: degenerate result (empty mask)", file=sys.stderr)
         return 4
     return 0

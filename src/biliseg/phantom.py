@@ -13,6 +13,7 @@ parameters alone.
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass
 
@@ -54,7 +55,7 @@ class PhantomParams:
         object.__setattr__(self, "dims", dims)
         if not isinstance(self.spacing, Spacing):
             object.__setattr__(self, "spacing", Spacing(*self.spacing))
-        if math.isclose(float(np.linalg.norm(self.root_direction)), 0.0):
+        if not np.any(self.root_direction):
             raise ConfigError("root_direction must be a nonzero vector")
         if self.segment_length <= 0:
             raise ConfigError(f"segment_length must be > 0, got {self.segment_length}")
@@ -80,6 +81,10 @@ class PhantomParams:
             raise ConfigError(f"max_depth {self.max_depth} allows up to "
                               f"{'2^(max_depth+1)-1' if branching else 'max_depth+1'} segments, "
                               f"over the cap of {MAX_SEGMENTS}")
+        # no tree coordinate is larger than this in magnitude
+        if max(map(abs, self.root)) + (self.max_depth + 1) * self.segment_length > sys.float_info.max:
+            raise ConfigError(f"segment_length {self.segment_length} over {self.max_depth + 1} "
+                              "segments takes the tree past the largest float")
         if not self.fg_mean > self.bg_mean:
             raise ConfigError(f"need fg_mean > bg_mean, got ({self.fg_mean}, {self.bg_mean})")
         if self.noise_std < 0:
@@ -92,14 +97,6 @@ class TubeSegment:
     end: tuple[float, float, float]
     radius: float
     parent: int  # index of the parent segment, -1 for the root
-
-
-@dataclass(frozen=True)
-class CenterlineTree:
-    segments: tuple[TubeSegment, ...]
-
-    def __len__(self) -> int:
-        return len(self.segments)
 
 
 def _streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
@@ -116,8 +113,8 @@ def _perp_basis(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, v
 
 
-def generate_tree(params: PhantomParams) -> CenterlineTree:
-    """Grow a centerline tree, breadth first.
+def generate_tree(params: PhantomParams) -> tuple[TubeSegment, ...]:
+    """Grow a centerline tree, breadth first, as its segments in that order.
 
     The root segment has depth 0. At the end of every segment with depth
     below ``max_depth`` the tree either bifurcates (probability
@@ -127,6 +124,8 @@ def generate_tree(params: PhantomParams) -> CenterlineTree:
     """
     rng, _ = _streams(params.rng_seed)
     direction = np.asarray(params.root_direction, dtype=np.float64)
+    # scaling by a power of two is exact and keeps |direction|**2 finite and nonzero
+    direction = np.ldexp(direction, -np.frexp(np.abs(direction).max())[1])
     direction = direction / np.linalg.norm(direction)
     theta = math.radians(params.branch_angle)
 
@@ -155,19 +154,19 @@ def generate_tree(params: PhantomParams) -> CenterlineTree:
             next_d = math.cos(tilt) * d + math.sin(tilt) * lateral
             next_d = next_d / np.linalg.norm(next_d)
             queue.append((end, next_d, radius, depth + 1, idx))
-    return CenterlineTree(tuple(segments))
+    return tuple(segments)
 
 
-def rasterize_tree(tree: CenterlineTree, dims, spacing: Spacing) -> Mask:
+def rasterize_tree(tree: tuple[TubeSegment, ...], dims, spacing: Spacing) -> Mask:
     """Exact rasterization: voxel centers within a segment's radius of its
     centerline (point-to-segment distance in mm, no anti-aliasing)."""
-    if not tree.segments:
+    if not tree:
         raise DegenerateInputError("cannot rasterize an empty tree")
     dims = tuple(int(n) for n in dims)
     sp = np.array(spacing.as_tuple())
     fg = np.zeros(dims, dtype=bool)
 
-    for seg in tree.segments:
+    for seg in tree:
         a = np.asarray(seg.start, dtype=np.float64)
         b = np.asarray(seg.end, dtype=np.float64)
         r = float(seg.radius)
@@ -185,12 +184,16 @@ def rasterize_tree(tree: CenterlineTree, dims, spacing: Spacing) -> Mask:
         py = (np.arange(i0[1], i1[1] + 1) * sp[1])[None, :, None]
         pz = (np.arange(i0[2], i1[2] + 1) * sp[2])[None, None, :]
         ab = b - a
-        length2 = float(ab @ ab)
+        # t is the same, bit for bit, with ab scaled down by a power of two and
+        # t scaled back, and then |ab|**2 cannot overflow however long ab is
+        e = max(np.frexp(np.abs(ab).max())[1], 0)
+        unit = np.ldexp(ab, -e)
+        length2 = float(unit @ unit)
         if length2 == 0.0:
             d2 = (px - a[0]) ** 2 + (py - a[1]) ** 2 + (pz - a[2]) ** 2
         else:
-            t = ((px - a[0]) * ab[0] + (py - a[1]) * ab[1] + (pz - a[2]) * ab[2]) / length2
-            t = np.clip(t, 0.0, 1.0)
+            t = ((px - a[0]) * unit[0] + (py - a[1]) * unit[1] + (pz - a[2]) * unit[2]) / length2
+            t = np.clip(np.ldexp(t, -e, out=t), 0.0, 1.0, out=t)
             d2 = ((px - (a[0] + t * ab[0])) ** 2
                   + (py - (a[1] + t * ab[1])) ** 2
                   + (pz - (a[2] + t * ab[2])) ** 2)

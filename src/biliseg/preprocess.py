@@ -52,7 +52,7 @@ def percentile_stretch(volume: Volume, params: PreprocessParams | None = None) -
     return Volume(out.astype(np.float32), volume.spacing)
 
 
-def dynamic_crop(volume: Volume, params: PreprocessParams | None = None) -> tuple[Volume, BBox]:
+def dynamic_crop(volume: Volume, params: PreprocessParams) -> tuple[Volume, BBox]:
     """Crop to the box around the largest bright component.
 
     Returns the cropped sub-volume and the box, which maps masks produced

@@ -32,16 +32,12 @@ _COUNT_COLUMNS = frozenset(REPORT_COLUMNS[4:])
 FORMATS = ("json", "csv", "markdown")
 
 
-def format_cell(column: str, value) -> str:
-    """Render one table cell. ``value`` is a scalar or a (mean, std) pair."""
-    if isinstance(value, tuple):
-        mean, std = value
-        if column in _COUNT_COLUMNS:
-            return f"{mean:.1f} ±{std:.2f}"
-        return f"{mean:.3f} ±{std:.3f}"
+def format_cell(column: str, value: tuple[float, float]) -> str:
+    """Render one table cell from a (mean, std) pair."""
+    mean, std = value
     if column in _COUNT_COLUMNS:
-        return str(int(value))
-    return f"{value:.3f}"
+        return f"{mean:.1f} ±{std:.2f}"
+    return f"{mean:.3f} ±{std:.3f}"
 
 
 def metrics_to_dict(report: MetricsReport) -> dict:
@@ -51,9 +47,6 @@ def metrics_to_dict(report: MetricsReport) -> dict:
 def _render_rows(rows) -> list[dict]:
     rendered = []
     for row in rows:
-        missing = [c for c in REPORT_COLUMNS if c not in row]
-        if missing:
-            raise ConfigError(f"summary row is missing column(s) {missing}")
         out = {"method": str(row["method"])}
         for col in COLUMNS:
             out[col] = format_cell(col, row[col])
@@ -72,27 +65,23 @@ def _anova_row(anova) -> dict:
     return row
 
 
-def write_report(rows, fmt: str, path, anova=None) -> None:
+def write_report(rows, fmt: str, path, anova) -> None:
     """Write a summary table.
 
     ``rows`` is a list of summary rows, each a mapping from the report columns
-    to scalars or (mean, std) pairs. ``anova`` optionally maps metric columns
-    to AnovaResult (None where F is undefined); it adds a p-value row, and
-    significant p-values gain a ``*``.
+    to (mean, std) pairs. ``anova`` maps metric columns to AnovaResult (None
+    where F is undefined); it adds a p-value row, and significant p-values
+    gain a ``*``.
     """
     if fmt not in FORMATS:
         raise ConfigError(f"unknown report format {fmt!r}, expected one of {FORMATS}")
-    rows = _render_rows(list(rows))
-    if anova:
-        rows.append(_anova_row(anova))
+    rows = [*_render_rows(rows), _anova_row(anova)]
 
     if fmt == "json":
-        doc = {"columns": list(REPORT_COLUMNS), "rows": rows}
-        if anova:
-            doc["anova"] = {
-                col: None if res is None else {**dataclasses.asdict(res), "significant": res.significant}
-                for col, res in anova.items()
-            }
+        doc = {"columns": list(REPORT_COLUMNS), "rows": rows, "anova": {
+            col: None if res is None else {**dataclasses.asdict(res), "significant": res.significant}
+            for col, res in anova.items()
+        }}
         text = json.dumps(doc, indent=2) + "\n"
     elif fmt == "csv":
         buf = io.StringIO()
@@ -107,17 +96,16 @@ def write_report(rows, fmt: str, path, anova=None) -> None:
         ]
         for row in rows:
             lines.append("| " + " | ".join(str(row[c]) for c in REPORT_COLUMNS) + " |")
-        if anova:
-            lines.append("")
-            lines.append("One-way ANOVA across methods (* marks p < 0.05):")
-            for col, res in anova.items():
-                if res is None:
-                    lines.append(f"- {col}: undefined (zero within-group variance)")
-                    continue
-                star = "*" if res.significant else ""
-                lines.append(
-                    f"- {col}: F({res.df_between}, {res.df_within}) = "
-                    f"{res.f_stat:.6g}, p = {res.p_value:.6f}{star}"
-                )
+        lines.append("")
+        lines.append("One-way ANOVA across methods (* marks p < 0.05):")
+        for col, res in anova.items():
+            if res is None:
+                lines.append(f"- {col}: undefined (zero within-group variance)")
+                continue
+            star = "*" if res.significant else ""
+            lines.append(
+                f"- {col}: F({res.df_between}, {res.df_within}) = "
+                f"{res.f_stat:.6g}, p = {res.p_value:.6f}{star}"
+            )
         text = "\n".join(lines) + "\n"
     atomic_write(path, text.encode("utf-8"))

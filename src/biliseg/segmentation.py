@@ -168,8 +168,7 @@ def flood_fill(volume: Volume, cfg: FloodFillConfig) -> Mask:
     return Mask(reached, volume.spacing)
 
 
-def sauvola_threshold_field(slice_values: np.ndarray, k: float = 0.3,
-                            R: float = 100.0, window: int = 3) -> np.ndarray:
+def sauvola_threshold_field(slice_values: np.ndarray, k: float, R: float, window: int) -> np.ndarray:
     """Adaptive threshold at every pixel of a 2D slice.
 
     T = m * (1 + k * (s / R - 1)) with m, s the mean and population standard
@@ -225,9 +224,10 @@ def region_grow(volume: Volume, cfg: RegionGrowConfig) -> Mask:
     return Mask(reached, volume.spacing)
 
 
-def postprocess(mask: Mask, policies, connectivity: Connectivity = Connectivity.VERTEX26) -> Mask:
-    """Apply component-filtering policies in order. The result is always a
-    subset of the input mask, in the input's memory layout.
+def postprocess(mask: Mask, policies) -> Mask:
+    """Apply component-filtering policies in order to the mask's 26-connected
+    components. The result is always a subset of the input mask, in the
+    input's memory layout.
 
     Every policy keeps or drops whole components, so one labeling of the
     foreground box and a shrinking ``keep`` vector give the mask that
@@ -235,14 +235,13 @@ def postprocess(mask: Mask, policies, connectivity: Connectivity = Connectivity.
     label of maximal size, which breaks ties on the x-fastest first voxel. A
     seed outside the foreground box lies on the background.
 
-    A flood-fill or region-growing mask needs no labeling under VERTEX26:
-    each growth step lies in the 3x3x3 cube, so the mask is one VERTEX26
-    component, and ``postprocess_grown`` hands the same policy body its box
-    as the labels.
+    A flood-fill or region-growing mask needs no labeling: each growth step
+    lies in the 3x3x3 cube, so the mask is one VERTEX26 component, and
+    ``postprocess_grown`` hands the same policy body its box as the labels.
     """
     if not policies:
         return mask
-    return _apply_policies(mask, policies, *connected_components(mask, connectivity))
+    return _apply_policies(mask, policies, *connected_components(mask))
 
 
 def postprocess_grown(mask: Mask, policies) -> Mask:

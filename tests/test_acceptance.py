@@ -104,7 +104,7 @@ def test_c04_sauvola_unit_values():
     """Uniform window returns m*(1-k) exactly; the single-bright-center 3x3
     window matches its hand computation within 1e-6; k=0 returns the mean."""
     uniform = np.full((3, 3), 100.0)
-    t_uniform = float(sauvola_threshold_field(uniform, k=0.3, R=100.0)[1, 1])
+    t_uniform = float(sauvola_threshold_field(uniform, k=0.3, R=100.0, window=3)[1, 1])
     assert t_uniform == 100.0 * (1.0 - 0.3)
     assert t_uniform == 70.0
 
@@ -113,13 +113,13 @@ def test_c04_sauvola_unit_values():
     m = 255.0 / 9.0
     s = math.sqrt((8.0 * m ** 2 + (255.0 - m) ** 2) / 9.0)
     hand = m * (1.0 + 0.3 * (s / 100.0 - 1.0))
-    got = float(sauvola_threshold_field(window, k=0.3, R=100.0)[1, 1])
+    got = float(sauvola_threshold_field(window, k=0.3, R=100.0, window=3)[1, 1])
     assert abs(got - hand) <= 1e-6
     assert got == pytest.approx(26.6451286, abs=1e-6)
 
     rng = np.random.default_rng(104)
     sl = rng.uniform(0, 255, (5, 5))
-    assert sauvola_threshold_field(sl, k=0.0)[2, 2] == pytest.approx(float(sl[1:4, 1:4].mean()),
+    assert sauvola_threshold_field(sl, k=0.0, R=100.0, window=3)[2, 2] == pytest.approx(float(sl[1:4, 1:4].mean()),
                                                                      rel=1e-12)
     print(f"\nACCEPTANCE 04 sauvola-unit-values: PASS (uniform {t_uniform}, center {got:.7f})")
 

@@ -142,6 +142,33 @@ class TestPhantomCommand:
         assert rc == 0, capsys.readouterr().err
         assert read_nifti(tmp_path / "t.nii", as_mask=True).data.all()
 
+    def run_demo_phantom(self, tmp_path, name, **changes):
+        doc = dict(json.loads((CONFIGS / "phantom_demo.json").read_text()), **changes)
+        cfg = write_json(tmp_path / f"{name}.json", doc)
+        return main(["phantom", "--config", cfg, "--out-volume", str(tmp_path / f"{name}_v.nii"),
+                     "--out-truth", str(tmp_path / f"{name}_t.nii")])
+
+    def test_segment_length_far_past_the_grid_draws_the_tube(self, tmp_path, capsys):
+        # |ab|**2 of a 1e300 mm segment is past the largest float
+        assert self.run_demo_phantom(tmp_path, "long", segment_length=1e300) == 0
+        assert capsys.readouterr().err == ""
+        truth = read_nifti(tmp_path / "long_t.nii", as_mask=True)
+        assert truth.data.any(axis=(0, 1)).all()  # the root tube crosses every slice
+        assert truth.count() == 1031
+
+    def test_tree_past_the_largest_float_exit_2(self, tmp_path, capsys):
+        assert self.run_demo_phantom(tmp_path, "huge", segment_length=1e308) == 2
+        assert capsys.readouterr().err.startswith("error: segment_length 1e+308 over 4 segments")
+        assert not (tmp_path / "huge_v.nii").exists() and not (tmp_path / "huge_t.nii").exists()
+
+    def test_root_direction_of_any_magnitude(self, tmp_path, capsys):
+        # |root_direction|**2 overflows; the direction is the same as (1, 1, 1)'s
+        assert self.run_demo_phantom(tmp_path, "big", root_direction=[1e300] * 3) == 0
+        assert self.run_demo_phantom(tmp_path, "one", root_direction=[1.0] * 3) == 0
+        assert capsys.readouterr().err == ""
+        for suffix in ("_v.nii", "_t.nii"):
+            assert (tmp_path / f"big{suffix}").read_bytes() == (tmp_path / f"one{suffix}").read_bytes()
+
     def test_unwritable_output_exit_3(self, tmp_path):
         cfg = write_json(tmp_path / "p.json", PHANTOM)
         rc = main(["phantom", "--config", cfg,
@@ -389,6 +416,25 @@ class TestSegmentCommand:
         rc = main(["segment", "--in", str(vol), "--out", str(out), "--config", cfg])
         assert rc == 4
         assert read_nifti(out, as_mask=True).count() == 0
+
+    @pytest.mark.parametrize("method, policies", [
+        ("threshold", [{"policy": "keep_seeded", "seeds": [[0, 0, 0]]}]),
+        ("floodfill", [{"policy": "keep_seeded", "seeds": [[0, 0, 0]]}]),
+        # min_size empties the grown mask, so its own seed then lies off every component
+        ("regiongrow", [{"policy": "min_size", "voxels": 10**6},
+                        {"policy": "keep_seeded", "seeds": [[48, 48, 2]]}]),
+    ])
+    def test_policy_that_finds_no_component_exit_4(self, tmp_path, demo_volume, capsys,
+                                                    method, policies):
+        doc = dict(json.loads((CONFIGS / "segment_demo.json").read_text()), postprocess=policies)
+        out = tmp_path / "m.nii"
+        capsys.readouterr()
+        assert main(["segment", "--in", str(demo_volume), "--out", str(out), "--method", method,
+                     "--config", write_json(tmp_path / "seg.json", doc)]) == 4
+        assert capsys.readouterr().err == "segment: degenerate result (empty mask)\n"
+        mask = read_nifti(out, as_mask=True)
+        assert mask.count() == 0 and mask.dims == read_nifti(demo_volume).dims
+        assert json.loads((tmp_path / "m.nii.provenance.json").read_text())["derived"]["mask_voxels"] == 0
 
     def test_method_flag_overrides_config(self, tmp_path, phantom_files):
         vol, truth = phantom_files

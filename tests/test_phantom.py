@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from biliseg import (CenterlineTree, ConfigError, Connectivity, DegenerateInputError,
+from biliseg import (ConfigError, Connectivity, DegenerateInputError,
                      PhantomParams, Spacing, ThresholdConfig, TubeSegment,
                      connected_components, dice, dual_threshold, generate_tree,
                      hausdorff, rasterize_tree, render_intensities)
@@ -53,14 +53,14 @@ class TestGenerateTree:
         tree = generate_tree(params(branch_probability=0.0, max_depth=5))
         assert len(tree) == 6
         # a chain: every segment's parent is the previous one
-        assert [s.parent for s in tree.segments] == [-1, 0, 1, 2, 3, 4]
-        for prev, cur in zip(tree.segments, tree.segments[1:]):
+        assert [s.parent for s in tree] == [-1, 0, 1, 2, 3, 4]
+        for prev, cur in zip(tree, tree[1:]):
             assert cur.start == prev.end
 
     def test_depth_zero_single_segment(self):
         tree = generate_tree(params(max_depth=0))
         assert len(tree) == 1
-        seg = tree.segments[0]
+        seg = tree[0]
         assert seg.parent == -1
         assert seg.radius == 1.5
 
@@ -70,13 +70,13 @@ class TestGenerateTree:
 
     def test_child_radius_never_grows(self):
         tree = generate_tree(params(branch_probability=0.7, max_depth=4, rng_seed=3))
-        for seg in tree.segments:
+        for seg in tree:
             if seg.parent >= 0:
-                assert seg.radius <= tree.segments[seg.parent].radius
+                assert seg.radius <= tree[seg.parent].radius
 
     def test_segment_length_preserved(self):
         tree = generate_tree(params(branch_probability=0.5, max_depth=3, rng_seed=4))
-        for seg in tree.segments:
+        for seg in tree:
             length = math.dist(seg.start, seg.end)
             assert length == pytest.approx(3.0, rel=1e-9)
 
@@ -89,8 +89,8 @@ class TestGenerateTree:
 
     def test_zero_angle_zero_branching_is_straight(self):
         tree = generate_tree(params(branch_probability=0.0, branch_angle=0.0, max_depth=4))
-        start = np.array(tree.segments[0].start)
-        end = np.array(tree.segments[-1].end)
+        start = np.array(tree[0].start)
+        end = np.array(tree[-1].end)
         direction = (end - start) / np.linalg.norm(end - start)
         assert np.allclose(direction, (0, 0, 1))
 
@@ -123,9 +123,9 @@ class TestRasterize:
                 for iz in range(dims[2]):
                     p = (ix * 1.0, iy * 1.2, iz * 1.5)
                     d = min(point_to_segment_distance(p, s.start, s.end) / 1.0
-                            for s in tree.segments)
+                            for s in tree)
                     reachable = any(point_to_segment_distance(p, s.start, s.end) <= s.radius
-                                    for s in tree.segments)
+                                    for s in tree)
                     assert bool(mask.data[ix, iy, iz]) == reachable, (ix, iy, iz, d)
 
     def test_matches_oracle_on_32_cube(self):
@@ -137,7 +137,7 @@ class TestRasterize:
         # vectorized full-grid oracle, no bounding-box shortcuts
         coords = np.argwhere(np.ones((32, 32, 32), bool)).astype(np.float64)
         hit = np.zeros(len(coords), bool)
-        for s in tree.segments:
+        for s in tree:
             a, b = np.array(s.start), np.array(s.end)
             ab = b - a
             denom = float(ab @ ab)
@@ -149,39 +149,39 @@ class TestRasterize:
     def test_cylinder_voxel_count_sanity(self):
         # axis-aligned tube fully inside the grid: voxel count near pi r^2 L
         r, length = 3.0, 20.0
-        tree = CenterlineTree((TubeSegment((15.0, 15.0, 5.0), (15.0, 15.0, 25.0), r, -1),))
+        tree = (TubeSegment((15.0, 15.0, 5.0), (15.0, 15.0, 25.0), r, -1),)
         mask = rasterize_tree(tree, (31, 31, 31), SP)
         expected = math.pi * r * r * length + (4.0 / 3.0) * math.pi * r ** 3  # caps included
         assert abs(mask.count() - expected) / expected < 0.10
 
     def test_centers_on_centerline_always_inside(self):
-        tree = CenterlineTree((TubeSegment((2.0, 3.0, 1.0), (8.0, 3.0, 1.0), 0.5, -1),))
+        tree = (TubeSegment((2.0, 3.0, 1.0), (8.0, 3.0, 1.0), 0.5, -1),)
         mask = rasterize_tree(tree, (12, 6, 4), SP)
         for ix in range(2, 9):
             assert mask.data[ix, 3, 1]
 
     def test_boundary_tie_counts_as_foreground(self):
-        tree = CenterlineTree((TubeSegment((5.0, 5.0, 1.0), (5.0, 5.0, 1.0), 2.0, -1),))
+        tree = (TubeSegment((5.0, 5.0, 1.0), (5.0, 5.0, 1.0), 2.0, -1),)
         mask = rasterize_tree(tree, (11, 11, 3), SP)
         assert mask.data[3, 5, 1] and mask.data[7, 5, 1]  # at distance exactly 2.0
 
     def test_two_parallel_tubes_two_components(self):
-        tree = CenterlineTree((
+        tree = (
             TubeSegment((5.0, 10.0, 2.0), (5.0, 10.0, 18.0), 2.0, -1),
             TubeSegment((15.0, 10.0, 2.0), (15.0, 10.0, 18.0), 2.0, 0),
-        ))
+        )
         mask = rasterize_tree(tree, (21, 21, 21), SP)
         _, sizes, _ = connected_components(mask, Connectivity.VERTEX26)
         assert len(sizes) - 1 == 2
 
     def test_tree_outside_grid_rejected(self):
-        tree = CenterlineTree((TubeSegment((100.0, 100.0, 100.0), (120.0, 100.0, 100.0), 2.0, -1),))
+        tree = (TubeSegment((100.0, 100.0, 100.0), (120.0, 100.0, 100.0), 2.0, -1),)
         with pytest.raises(DegenerateInputError):
             rasterize_tree(tree, (10, 10, 10), SP)
 
     def test_empty_tree_rejected(self):
         with pytest.raises(DegenerateInputError):
-            rasterize_tree(CenterlineTree(()), (10, 10, 10), SP)
+            rasterize_tree((), (10, 10, 10), SP)
 
 
 class TestRender:

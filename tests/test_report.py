@@ -15,6 +15,14 @@ ROW = {
     "false_communicating_IHDs": (2.0, 2.00),
     "false_non_communicating_IHDs": (0.2, 0.40),
 }
+ANOVA = {
+    "DSC": AnovaResult(8.0, 1, 2, 0.0123),
+    "HD_mm": AnovaResult(0.0, 1, 2, 1.0),
+    "RVD": None,
+    "outliers": AnovaResult(1.0, 1, 2, 0.5),
+    "false_communicating_IHDs": AnovaResult(1.0, 1, 2, 0.5),
+    "false_non_communicating_IHDs": AnovaResult(1.0, 1, 2, 0.5),
+}
 
 
 class TestCellFormatting:
@@ -27,32 +35,40 @@ class TestCellFormatting:
         assert format_cell("outliers", (6.2, 3.86)) == "6.2 ±3.86"
         assert format_cell("false_communicating_IHDs", (0.0, 0.0)) == "0.0 ±0.00"
 
-    def test_scalar_cells(self):
-        assert format_cell("DSC", 1.0) == "1.000"
-        assert format_cell("outliers", 3) == "3"
-
 
 class TestWriteReport:
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
-            write_report([ROW], "yaml", tmp_path / "r.yaml")
+            write_report([ROW], "yaml", tmp_path / "r.yaml", ANOVA)
 
     def test_empty_rows_give_header_only(self, tmp_path):
+        # no method rows and no ANOVA results: the header and an empty p-value row
         csv_path = tmp_path / "empty.csv"
-        write_report([], "csv", csv_path)
+        write_report([], "csv", csv_path, {})
         assert csv_path.read_text() == ("method,DSC,HD_mm,RVD,outliers,"
-                                        "false_communicating_IHDs,false_non_communicating_IHDs\n")
+                                        "false_communicating_IHDs,false_non_communicating_IHDs\n"
+                                        "ANOVA p-value,,,,,,\n")
         json_path = tmp_path / "empty.json"
-        write_report([], "json", json_path)
+        write_report([], "json", json_path, {})
         doc = json.loads(json_path.read_text())
-        assert doc["rows"] == []
+        assert doc["rows"] == [{"method": "ANOVA p-value", "DSC": "", "HD_mm": "", "RVD": "",
+                                "outliers": "", "false_communicating_IHDs": "",
+                                "false_non_communicating_IHDs": ""}]
+        assert doc["anova"] == {}
         md_path = tmp_path / "empty.md"
-        write_report([], "markdown", md_path)
-        assert md_path.read_text().count("\n") == 2  # header + separator
+        write_report([], "markdown", md_path, {})
+        assert md_path.read_text().splitlines() == [
+            "| method | DSC | HD_mm | RVD | outliers | false_communicating_IHDs | "
+            "false_non_communicating_IHDs |",
+            "| --- | --- | --- | --- | --- | --- | --- |",
+            "| ANOVA p-value |  |  |  |  |  |  |",
+            "",
+            "One-way ANOVA across methods (* marks p < 0.05):",
+        ]
 
     def test_csv_columns_exact(self, tmp_path):
         path = tmp_path / "t.csv"
-        write_report([ROW], "csv", path)
+        write_report([ROW], "csv", path, ANOVA)
         lines = path.read_text().splitlines()
         assert lines[0] == ("method,DSC,HD_mm,RVD,outliers,"
                             "false_communicating_IHDs,false_non_communicating_IHDs")
@@ -60,28 +76,20 @@ class TestWriteReport:
 
     def test_markdown_table(self, tmp_path):
         path = tmp_path / "t.md"
-        write_report([ROW], "markdown", path)
+        write_report([ROW], "markdown", path, ANOVA)
         text = path.read_text()
         assert "| threshold | 0.819 ±0.057 |" in text
 
     def test_byte_identical_reruns(self, tmp_path):
         for fmt, name in (("json", "a.json"), ("csv", "a.csv"), ("markdown", "a.md")):
             p1, p2 = tmp_path / name, tmp_path / ("again_" + name)
-            write_report([ROW], fmt, p1)
-            write_report([ROW], fmt, p2)
+            write_report([ROW], fmt, p1, ANOVA)
+            write_report([ROW], fmt, p2, ANOVA)
             assert p1.read_bytes() == p2.read_bytes()
 
     def test_anova_row_and_star(self, tmp_path):
-        anova = {
-            "DSC": AnovaResult(8.0, 1, 2, 0.0123),
-            "HD_mm": AnovaResult(0.0, 1, 2, 1.0),
-            "RVD": None,
-            "outliers": AnovaResult(1.0, 1, 2, 0.5),
-            "false_communicating_IHDs": AnovaResult(1.0, 1, 2, 0.5),
-            "false_non_communicating_IHDs": AnovaResult(1.0, 1, 2, 0.5),
-        }
         path = tmp_path / "s.json"
-        write_report([ROW, dict(ROW, method="floodfill")], "json", path, anova=anova)
+        write_report([ROW, dict(ROW, method="floodfill")], "json", path, ANOVA)
         doc = json.loads(path.read_text())
         p_row = doc["rows"][-1]
         assert p_row["method"] == "ANOVA p-value"

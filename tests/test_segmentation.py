@@ -6,7 +6,7 @@ from biliseg import (BoundsError, ConfigError, Connectivity, DegenerateInputErro
                      FloodFillConfig, KeepLargest, KeepSeeded, Mask, MinSize,
                      RegionGrowConfig, Spacing, ThresholdConfig, Volume,
                      dual_threshold, flood_fill, postprocess, region_grow, sauvola_threshold_field)
-from biliseg.phantom import CenterlineTree, PhantomParams, TubeSegment, rasterize_tree, render_intensities
+from biliseg.phantom import PhantomParams, TubeSegment, rasterize_tree, render_intensities
 from biliseg.core import BBox, connected_components
 from biliseg.preprocess import embed_mask
 from biliseg.segmentation import grow_from_seed, postprocess_grown
@@ -157,13 +157,13 @@ class TestGrowFromSeed:
 class TestSauvola:
     def test_uniform_window_exact(self):
         s = np.full((5, 5), 100.0)
-        t = sauvola_threshold_field(s, k=0.3, R=100.0)[2, 2]
+        t = sauvola_threshold_field(s, k=0.3, R=100.0, window=3)[2, 2]
         assert t == 100.0 * (1.0 - 0.3)
 
     def test_single_bright_center(self):
         s = np.zeros((3, 3))
         s[1, 1] = 255.0
-        t = sauvola_threshold_field(s, k=0.3, R=100.0)[1, 1]
+        t = sauvola_threshold_field(s, k=0.3, R=100.0, window=3)[1, 1]
         m = 255.0 / 9.0
         var = (8 * m ** 2 + (255.0 - m) ** 2) / 9.0
         expected = m * (1.0 + 0.3 * (np.sqrt(var) / 100.0 - 1.0))
@@ -172,12 +172,12 @@ class TestSauvola:
     def test_k_zero_returns_window_mean(self):
         rng = np.random.default_rng(22)
         s = rng.uniform(0, 255, (7, 7))
-        t = sauvola_threshold_field(s, k=0.0)[3, 3]
+        t = sauvola_threshold_field(s, k=0.0, R=100.0, window=3)[3, 3]
         assert t == pytest.approx(float(s[2:5, 2:5].mean()), rel=1e-12)
 
     def test_border_window_clipped(self):
         s = np.arange(16, dtype=np.float64).reshape(4, 4)
-        t = sauvola_threshold_field(s, k=0.3, R=100.0)[0, 0]
+        t = sauvola_threshold_field(s, k=0.3, R=100.0, window=3)[0, 0]
         w = s[0:2, 0:2]
         expected = w.mean() * (1.0 + 0.3 * (w.std() / 100.0 - 1.0))
         assert t == pytest.approx(expected, rel=1e-12)
@@ -205,7 +205,7 @@ def straight_tube_case(dims=(24, 24, 8), spacing=Spacing(1, 1, 1.5), radius=3.0,
     cx = (dims[0] - 1) / 2.0 * spacing.dx
     cy = (dims[1] - 1) / 2.0 * spacing.dy
     z_top = dims[2] * spacing.dz + 2.0
-    tree = CenterlineTree((TubeSegment((cx, cy, -2.0), (cx, cy, z_top), radius, -1),))
+    tree = (TubeSegment((cx, cy, -2.0), (cx, cy, z_top), radius, -1),)
     truth = rasterize_tree(tree, dims, spacing)
     params = PhantomParams(dims=dims, spacing=spacing, root=(cx, cy, -2.0),
                            root_direction=(0, 0, 1), segment_length=z_top + 2.0,
@@ -280,7 +280,7 @@ class TestRegionGrow:
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
-            RegionGrowConfig(seed=(0, 0, 0), k=0.0)
+            RegionGrowConfig(seed=(0, 0, 0), k=0.0, R=100.0, window=3)
         with pytest.raises(ConfigError):
             RegionGrowConfig(seed=(0, 0, 0), R=0.0)
         with pytest.raises(ConfigError):
@@ -454,14 +454,13 @@ class TestPostprocess:
             st.just(KeepLargest()) | st.builds(MinSize, st.integers(1, 6))
             | st.builds(KeepSeeded, st.lists(points, min_size=1, max_size=3).map(tuple)),
             max_size=4))
-        connectivity = data.draw(st.sampled_from(list(Connectivity)))
         try:
-            want = postprocess_reference(grid, policies, connectivity)
+            want = postprocess_reference(grid, policies, Connectivity.VERTEX26)
         except DegenerateInputError:
             with pytest.raises(DegenerateInputError):
-                postprocess(mask, policies, connectivity)
+                postprocess(mask, policies)
             return
-        out = postprocess(mask, policies, connectivity).data
+        out = postprocess(mask, policies).data
         assert np.array_equal(out, want)
         assert out.strides == grid.strides
 
