@@ -21,8 +21,7 @@ import numpy as np
 
 from . import __version__
 from .core import Connectivity, Mask, connected_components
-from .errors import (BilisegError, ConfigError, DegenerateInputError,
-                     FormatError, GeometryError)
+from .errors import BilisegError, ConfigError, DegenerateInputError
 from .mesh import extract_surface_mesh, write_stl
 from .metrics import evaluate
 from .nifti import read_nifti, write_nifti
@@ -130,8 +129,6 @@ def _to_json(obj) -> dict:
 
 
 def _encode(value):
-    if dataclasses.is_dataclass(value):
-        return list(_to_json(value).values())
     if isinstance(value, IntEnum):
         return int(value)
     if isinstance(value, dict):
@@ -415,9 +412,6 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except (ConfigError, GeometryError, FormatError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except DegenerateInputError as e:
         print(f"error: degenerate input: {e}", file=sys.stderr)
         return 4

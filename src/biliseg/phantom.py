@@ -172,8 +172,11 @@ def rasterize_tree(tree: tuple[TubeSegment, ...], dims, spacing: Spacing) -> Mas
         r = float(seg.radius)
         lo = np.minimum(a, b) - r
         hi = np.maximum(a, b) + r
-        i0 = np.floor(lo / sp) - 1
-        i1 = np.ceil(hi / sp) + 1
+        # a bound near the float limit over a voxel size below 1 mm divides to
+        # +-inf, which is harmless: the test and the clamp below handle it
+        with np.errstate(over="ignore"):
+            i0 = np.floor(lo / sp) - 1
+            i1 = np.ceil(hi / sp) + 1
         if (i1 < 0).any() or (i0 > np.array(dims) - 1).any():
             continue
         # clamp while still float: a huge radius would overflow the int cast

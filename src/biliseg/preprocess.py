@@ -58,7 +58,6 @@ def dynamic_crop(volume: Volume, params: PreprocessParams) -> tuple[Volume, BBox
     Returns the cropped sub-volume and the box, which maps masks produced
     inside the crop back to full-grid coordinates (see ``embed_mask``).
     """
-    params = params or PreprocessParams()
     data = volume.data
     if float(data.min()) == float(data.max()):
         raise DegenerateInputError("constant volume has no croppable structure")

@@ -156,6 +156,15 @@ class TestPhantomCommand:
         assert truth.data.any(axis=(0, 1)).all()  # the root tube crosses every slice
         assert truth.count() == 1031
 
+    def test_tree_near_the_largest_float_on_fine_voxels(self, tmp_path, capsys):
+        # the bounds of a 4e307 mm segment over 0.3 mm voxels are past the largest float
+        assert self.run_demo_phantom(tmp_path, "far", spacing=[0.3, 0.3, 0.3], root=[14.0, 14.0, 1.0],
+                                     radius_root=1.5, segment_length=4e307) == 0
+        assert capsys.readouterr().err == ""
+        assert read_nifti(tmp_path / "far_t.nii", as_mask=True).count() == 2470
+        assert (hashlib.sha256((tmp_path / "far_t.nii").read_bytes()).hexdigest()
+                == "a9964e97e18472a8818a75f9bf82471feb0aa40740dea825ae9de6266a159be7")
+
     def test_tree_past_the_largest_float_exit_2(self, tmp_path, capsys):
         assert self.run_demo_phantom(tmp_path, "huge", segment_length=1e308) == 2
         assert capsys.readouterr().err.startswith("error: segment_length 1e+308 over 4 segments")

@@ -211,6 +211,20 @@ class TestHeaderEdgeCases:
         with pytest.raises(FormatError, match="vox_offset.*byte offset 108"):
             read_nifti(write_raw(tmp_path, "vo.nii", bytes(patched)))
 
+    @pytest.mark.parametrize("field_offset,at,patch", [
+        (0, 0, struct.pack("<i", 999)),
+        (40, 40, struct.pack("<h", 4)),
+        (72, 72, struct.pack("<h", 16)),
+        (76, 80, struct.pack("<f", -1.0)),
+        (108, 108, struct.pack("<f", 100.0)),
+        (112, 112, struct.pack("<f", float("nan"))),
+    ], ids=["sizeof_hdr", "dim", "bitpix", "pixdim", "vox_offset", "scl_slope"])
+    def test_error_names_the_field_offset(self, tmp_path, field_offset, at, patch):
+        patched = bytearray(raw_nifti_bytes(np.zeros((2, 2, 2), dtype=np.uint8), (1, 1, 1), 2))
+        patched[at:at + len(patch)] = patch
+        with pytest.raises(FormatError, match=rf"\(byte offset {field_offset}\)$"):
+            read_nifti(write_raw(tmp_path, "f.nii", bytes(patched)))
+
     def test_nonpositive_pixdim_rejected(self, tmp_path):
         arr = np.zeros((2, 2, 2), dtype=np.uint8)
         blob = raw_nifti_bytes(arr, (1.0, -1.0, 1.0), 2)
