@@ -341,7 +341,7 @@ def cmd_compare(args) -> int:
         try:
             anova[col] = one_way_anova(value_groups)
         except DegenerateInputError:
-            anova[col] = None  # all observations identical, F undefined
+            anova[col] = None  # F undefined: zero within-group variance or overflow
     write_report(rows, args.format, args.output, anova=anova)
     print(f"compare: {len(rows)} methods -> {args.output}")
     return 0

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import Mask
-from .errors import DegenerateInputError, FormatError
+from .errors import DegenerateInputError, FormatError, GeometryError
 from ._util import atomic_write
 
 STL_HEADER = b"biliseg voxel surface"
@@ -40,12 +40,17 @@ def extract_surface_mesh(mask: Mask) -> np.ndarray:
 
     Triangles are grouped by face direction (x+, x-, y+, y-, z+, z-), each
     group holding the first triangle of every quad and then the second.
-    Corners are summed in float64 and rounded once to float32.
+    Corners are summed in float64 and rounded once to float32. A grid whose
+    far corner rounds to float32 infinity raises ``GeometryError``.
     """
     if not mask.data.any():
         raise DegenerateInputError("cannot extract a surface from an empty mask")
     spacing = np.array(mask.spacing.as_tuple())
     half = spacing / 2.0
+    with np.errstate(over="ignore"):  # the largest coordinate on each axis, as STL stores it
+        far = ((np.array(mask.dims) - 1) * spacing + half).astype(np.float32)
+    if np.isinf(far).any():
+        raise GeometryError(f"spacing {mask.spacing.as_tuple()}: vertices pass STL's float32 range")
 
     blocks = [(axis, sign, np.argwhere(_exposed(mask.data, axis, sign)))
               for axis in range(3) for sign in (1, -1)]

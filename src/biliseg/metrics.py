@@ -20,7 +20,7 @@ fragmented across several predictions (false non-communicating).
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -41,14 +41,6 @@ _REL_TOL = 1e-12
 _PAIRS_PER_EDT_VOXEL = 10
 _PAIRS_PER_BOUND = 5
 _CHUNK = 1 << 16
-
-
-@dataclass(frozen=True)
-class TopologyCounts:
-    outliers: int
-    missed_components: int
-    false_communicating: int
-    false_non_communicating: int
 
 
 @dataclass(frozen=True)
@@ -284,8 +276,9 @@ def _edt_value_max(b: Mask, shell: _Shell, voxels, dists) -> float:
 
 
 def topology_report(pred: Mask, gt: Mask,
-                    connectivity: Connectivity = Connectivity.VERTEX26) -> TopologyCounts:
-    """Component-overlap proxy counts, see the module docstring.
+                    connectivity: Connectivity = Connectivity.VERTEX26) -> dict[str, int]:
+    """Component-overlap proxy counts, see the module docstring, keyed by
+    their ``MetricsReport`` field names in field order.
 
     The counts depend on the partition into components only. Each mask is
     labeled inside its own foreground box, and every overlap voxel is read in
@@ -301,12 +294,10 @@ def topology_report(pred: Mask, gt: Mask,
     pairs = np.unique(at_p.astype(np.int64) * (kg + 1) + at_g)
     pred_hit = np.unique(pairs // (kg + 1))
     gt_hit = np.unique(pairs % (kg + 1))
-    return TopologyCounts(
-        outliers=kp - len(pred_hit),
-        missed_components=kg - len(gt_hit),
-        false_communicating=int(len(pairs) - len(pred_hit)),
-        false_non_communicating=int(len(pairs) - len(gt_hit)),
-    )
+    return {"outliers": kp - len(pred_hit),
+            "missed_components": kg - len(gt_hit),
+            "false_communicating": int(len(pairs) - len(pred_hit)),
+            "false_non_communicating": int(len(pairs) - len(gt_hit))}
 
 
 def evaluate(pred: Mask, gt: Mask,
@@ -317,12 +308,11 @@ def evaluate(pred: Mask, gt: Mask,
     otherwise)."""
     forward = hausdorff(pred, gt, "directed")
     backward = hausdorff(gt, pred, "directed")
-    topo = topology_report(pred, gt, connectivity)
     return MetricsReport(
         dsc=dice(pred, gt),
         hd_mm=max(forward, backward),
         hd_directed_pred_to_gt=forward,
         hd_directed_gt_to_pred=backward,
         rvd=rvd(pred, gt),
-        **asdict(topo),
+        **topology_report(pred, gt, connectivity),
     )

@@ -179,23 +179,20 @@ def sauvola_threshold_field(slice_values: np.ndarray, k: float, R: float, window
     a = np.asarray(slice_values, dtype=np.float64)
     nx, ny = a.shape
     h = min(window // 2, max(nx, ny))  # any wider window covers the whole slice alike
-    S = np.zeros((nx + 1, ny + 1))
-    S2 = np.zeros((nx + 1, ny + 1))
-    S[1:, 1:] = a.cumsum(axis=0).cumsum(axis=1)
-    S2[1:, 1:] = (a * a).cumsum(axis=0).cumsum(axis=1)
+    w = 2 * h + 1
 
-    x0 = np.clip(np.arange(nx) - h, 0, nx)
-    x1 = np.clip(np.arange(nx) + h + 1, 0, nx)
-    y0 = np.clip(np.arange(ny) - h, 0, ny)
-    y1 = np.clip(np.arange(ny) + h + 1, 0, ny)
+    def window_sums(values):
+        # edge padding repeats the table's border rows and columns, so each
+        # clipped window corner is a shifted view of the padded table
+        table = np.zeros((nx + 1, ny + 1))
+        table[1:, 1:] = values.cumsum(axis=0).cumsum(axis=1)
+        t = np.pad(table, h, mode="edge")
+        return t[w:, w:] - t[:-w, w:] - t[w:, :-w] + t[:-w, :-w]
 
-    def rect(table):
-        hi, lo = table.take(x1, axis=0), table.take(x0, axis=0)
-        return hi.take(y1, axis=1) - lo.take(y1, axis=1) - hi.take(y0, axis=1) + lo.take(y0, axis=1)
-
-    count = (x1 - x0)[:, None] * (y1 - y0)[None, :]
-    m = rect(S) / count
-    var = np.maximum(rect(S2) / count - m * m, 0.0)
+    spans = [np.minimum(np.arange(n) + h + 1, n) - np.maximum(np.arange(n) - h, 0) for n in (nx, ny)]
+    count = np.outer(*spans)
+    m = window_sums(a) / count
+    var = np.maximum(window_sums(a * a) / count - m * m, 0.0)
     s = np.sqrt(var)
     return m * (1.0 + k * (s / R - 1.0))
 
@@ -216,7 +213,7 @@ def region_grow(volume: Volume, cfg: RegionGrowConfig) -> Mask:
     allowed = np.empty(volume.dims, dtype=bool)
     for z in range(volume.dims[2]):
         field_z = sauvola_threshold_field(data[:, :, z], cfg.k, cfg.R, cfg.window)
-        allowed[:, :, z] = data[:, :, z].astype(np.float64) >= field_z
+        np.greater_equal(data[:, :, z], field_z, out=allowed[:, :, z])
 
     structure = cfg.in_slice_connectivity.structure()
     structure[1, 1, [0, 2]] = cfg.propagate_slices

@@ -96,7 +96,8 @@ def one_way_anova(groups) -> AnovaResult:
     """Omnibus F test for equal group means.
 
     F = (SSB / (k-1)) / (SSW / (N-k)); the p-value is the upper tail of the
-    F(k-1, N-k) distribution via the incomplete beta.
+    F(k-1, N-k) distribution via the incomplete beta. F is undefined, and
+    DegenerateInputError raised, on zero within-group variance or overflow.
     """
     if len(groups) < 2:
         raise ConfigError(f"need at least 2 groups, got {len(groups)}")
@@ -109,7 +110,10 @@ def one_way_anova(groups) -> AnovaResult:
     means = [float(a.mean()) for a in arrays]
     # weighted mean of group means: groups with equal means cancel exactly
     grand = sum(a.size * m for a, m in zip(arrays, means)) / n_total
-    ssb = sum(a.size * (m - grand) ** 2 for a, m in zip(arrays, means))
+    try:
+        ssb = sum(a.size * (m - grand) ** 2 for a, m in zip(arrays, means))
+    except OverflowError:
+        raise DegenerateInputError("between-group sum of squares overflows, F is undefined") from None
     ssw = sum(float(((a - a.mean()) ** 2).sum()) for a in arrays)
     if ssw == 0.0:
         raise DegenerateInputError("zero within-group variance, F is undefined")
@@ -117,6 +121,8 @@ def one_way_anova(groups) -> AnovaResult:
     df_between = k - 1
     df_within = n_total - k
     f = (ssb / df_between) / (ssw / df_within)
+    if not math.isfinite(f):
+        raise DegenerateInputError("F overflows the float range, F is undefined")
     x = df_between * f / (df_between * f + df_within)
     p = 1.0 - reg_inc_beta(x, df_between / 2.0, df_within / 2.0)
     return AnovaResult(f_stat=f, df_between=df_between, df_within=df_within, p_value=p)

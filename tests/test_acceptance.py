@@ -191,8 +191,8 @@ def test_c07_topology_proxies():
     pred = np.zeros((9, 3, 1), bool)
     pred[0:9, 1, 0] = True
     merge = topology_report(Mask(pred, sp), Mask(gt, sp))
-    assert merge.false_communicating == 1
-    assert merge.false_non_communicating == 0
+    assert merge["false_communicating"] == 1
+    assert merge["false_non_communicating"] == 0
 
     gt2 = np.zeros((9, 5, 1), bool)
     gt2[0:9, 1, 0] = True
@@ -201,14 +201,14 @@ def test_c07_topology_proxies():
     pred2[5:9, 1, 0] = True
     pred2[4, 4, 0] = True
     split = topology_report(Mask(pred2, sp), Mask(gt2, sp))
-    assert split.false_non_communicating == 1
-    assert split.outliers == 1
+    assert split["false_non_communicating"] == 1
+    assert split["outliers"] == 1
 
     from test_metrics import overlap_matrix_counts
     for p, g in ((pred, gt), (pred2, gt2)):
         got = topology_report(Mask(p, sp), Mask(g, sp))
-        assert (got.outliers, got.missed_components, got.false_communicating,
-                got.false_non_communicating) == overlap_matrix_counts(Mask(p, sp), Mask(g, sp))
+        assert (got["outliers"], got["missed_components"], got["false_communicating"],
+                got["false_non_communicating"]) == overlap_matrix_counts(Mask(p, sp), Mask(g, sp))
     print("\nACCEPTANCE 07 topology-proxies: PASS (merge fc=1, split fnc=1 + outlier=1, oracle agrees)")
 
 

@@ -74,6 +74,11 @@ BAD_SEGMENT_VALUES = {
     "connectivity-string": ("floodfill", lambda c: c["floodfill"].update(connectivity="6")),
     "k-numeric-string": ("regiongrow", lambda c: c["regiongrow"].update(k="0.5")),
     "t_min-beyond-float": ("threshold", lambda c: c["threshold"].update(t_min=10**400)),
+    "method-unknown": ("threshold", lambda c: c.update(method="watershed")),
+    "overrides-list": ("threshold", lambda c: c["threshold"].update(per_slice_overrides=[1, 2])),
+    # the demo crop is on, so _run_method checks the slice against the volume's 32
+    "override-slice-beyond-the-volume": ("threshold", lambda c: c["threshold"].update(
+        per_slice_overrides={"99": [100, 200]})),
 }
 
 
@@ -229,6 +234,20 @@ class TestSegmentCommand:
         first = tmp_path / "first.nii"
         assert main(["segment", "--in", str(vol), "--out", str(first), "--config", cfg]) == 0
         sidecar = tmp_path / "first.nii.provenance.json"
+        replayed = tmp_path / "replayed.nii"
+        assert main(["segment", "--out", str(replayed), "--config", str(sidecar)]) == 0
+        assert first.read_bytes() == replayed.read_bytes()
+        assert sidecar.read_text().replace("first.nii", "replayed.nii") == \
+            (tmp_path / "replayed.nii.provenance.json").read_text()
+
+    def test_null_overrides_are_recorded_empty_and_replay_identically(self, tmp_path, phantom_files):
+        vol, _ = phantom_files
+        cfg = self.seg_config(tmp_path, threshold={"t_min": 105.0, "t_max": 255.0,
+                                                   "per_slice_overrides": None})
+        first = tmp_path / "first.nii"
+        assert main(["segment", "--in", str(vol), "--out", str(first), "--config", cfg]) == 0
+        sidecar = tmp_path / "first.nii.provenance.json"
+        assert json.loads(sidecar.read_text())["threshold"]["per_slice_overrides"] == {}
         replayed = tmp_path / "replayed.nii"
         assert main(["segment", "--out", str(replayed), "--config", str(sidecar)]) == 0
         assert first.read_bytes() == replayed.read_bytes()
@@ -484,6 +503,21 @@ class TestSegmentCommand:
         assert err.startswith("error: ") and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("case", ["no-paths", "method-flag-without-section"])
+    def test_unrunnable_invocation_exit_2(self, tmp_path, demo_volume, capsys, case):
+        doc = json.loads((CONFIGS / "segment_demo.json").read_text())
+        out = tmp_path / "m.nii"
+        if case == "no-paths":  # neither the flags nor the config name the input and output
+            argv, want = [], "an input and an output path"
+        else:
+            del doc["floodfill"]
+            argv, want = ["--in", str(demo_volume), "--out", str(out), "--method", "floodfill"], \
+                "no 'floodfill' section"
+        assert main(["segment", *argv, "--config", write_json(tmp_path / "seg.json", doc)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and want in err
+        assert not out.exists()
+
     def test_crop_pipeline_maps_back_to_full_grid(self, tmp_path, phantom_files):
         vol, truth = phantom_files
         cfg = write_json(tmp_path / "crop.json", {
@@ -617,6 +651,36 @@ class TestCompareCommand:
                    "--out", str(tmp_path / "s.json")])
         assert rc == 2
 
+    def test_duplicate_method_name_exit_2(self, tmp_path, capsys):
+        a1, a2, b1, b2 = self.make_reports(tmp_path)
+        out = tmp_path / "s.json"
+        rc = main(["compare", "--group", "m1", a1, a2, "--group", "m1", b1, b2, "--out", str(out)])
+        assert rc == 2
+        assert "duplicate method name 'm1'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "markdown"])
+    def test_anova_whose_f_overflows_is_undefined(self, tmp_path, capsys, fmt):
+        # finite DSC values whose F overflows to inf: the column's ANOVA is
+        # written as undefined, as for zero within-group variance
+        a1 = fake_report(tmp_path / "a1.json", dsc=0.0)
+        a2 = fake_report(tmp_path / "a2.json", dsc=1e-160)
+        b1 = fake_report(tmp_path / "b1.json", dsc=1e10)
+        b2 = fake_report(tmp_path / "b2.json", dsc=1e10)
+        out = tmp_path / "s.out"
+        rc = main(["compare", "--group", "m1", a1, a2, "--group", "m2", b1, b2,
+                   "--out", str(out), "--format", fmt])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+        text = out.read_text()
+        if fmt == "json":
+            assert json.loads(text)["anova"]["DSC"] is None
+        elif fmt == "csv":
+            header, *_, p_row = text.splitlines()
+            assert p_row.split(",")[header.split(",").index("DSC")] == ""
+        else:
+            assert "- DSC: undefined (zero within-group variance)" in text
+
     @pytest.mark.parametrize("dsc", [math.nan, math.inf, -math.inf, "nan", "0.8", True, None],
                              ids=["NaN", "Infinity", "-Infinity", "nan-string", "numeric-string",
                                   "true", "null"])
@@ -669,6 +733,13 @@ class TestMeshCommand:
         count = int.from_bytes(blob[80:84], "little")
         assert len(blob) == 84 + 50 * count
         assert "triangles" in capsys.readouterr().out
+
+    def test_coordinates_beyond_float32_exit_2(self, tmp_path, capsys):
+        # the voxel sizes fit a float32 pixdim, the far vertex coordinates do not
+        write_nifti(Mask(np.ones((4, 4, 3), bool), Spacing(3e38, 3e38, 3e38)), tmp_path / "m.nii")
+        assert main(["mesh", "--in", str(tmp_path / "m.nii"), "--out", str(tmp_path / "m.stl")]) == 2
+        assert "float32" in capsys.readouterr().err
+        assert not (tmp_path / "m.stl").exists()
 
     def test_empty_mask_exit_4(self, tmp_path):
         write_nifti(Mask(np.zeros((4, 4, 4), bool), Spacing(1, 1, 1)), tmp_path / "e.nii")

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from biliseg import (DegenerateInputError, FormatError, Mask, Spacing, extract_surface_mesh,
-                     read_stl, write_stl)
-from biliseg.mesh import TRIANGLE_RECORD
+from biliseg import (DegenerateInputError, FormatError, GeometryError, Mask, Spacing,
+                     extract_surface_mesh, write_stl)
+from biliseg.mesh import TRIANGLE_RECORD, read_stl
 from conftest import random_mask, surface_faces_walk
 
 SP = Spacing(1.0, 1.0, 1.0)
@@ -65,6 +65,15 @@ class TestExtraction:
     def test_empty_mask_rejected(self):
         with pytest.raises(DegenerateInputError):
             extract_surface_mesh(Mask(np.zeros((2, 2, 2), bool), SP))
+
+    def test_far_corner_beyond_float32_rejected(self):
+        # on one voxel the largest coordinate is half a voxel and fits float32;
+        # on 4 x 4 x 3 voxels it is 3.5 voxels and does not
+        big = Spacing(3e38, 3e38, 3e38)
+        mesh = extract_surface_mesh(Mask(np.ones((1, 1, 1), bool), big))
+        assert np.isfinite(mesh["vertices"]).all()
+        with pytest.raises(GeometryError, match="float32"):
+            extract_surface_mesh(Mask(np.ones((4, 4, 3), bool), big))
 
     def test_winding_matches_normals(self):
         rng = np.random.default_rng(6)

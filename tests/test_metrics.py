@@ -254,6 +254,20 @@ class TestHausdorff:
             assert hausdorff(Mask(a, spacing), Mask(b, spacing), "directed") == \
                 directed_hd_edt(a, b, spacing.as_tuple())
 
+    def test_cost_guard_takes_the_distance_transform_up_front(self, monkeypatch):
+        # with no pairs to spend per box voxel the search gives way before it
+        # bounds a single block, and one distance transform of the box decides
+        rng = np.random.default_rng(44)
+        a = random_mask(rng, (9, 7, 5), p=0.3)
+        b = random_mask(rng, (9, 7, 5), p=0.3)
+        assert (a & ~b).any()
+        sp = Spacing(1.0, 0.8, 1.5)
+        monkeypatch.setattr(metrics, "_PAIRS_PER_EDT_VOXEL", 0)
+        monkeypatch.setattr(metrics._Shell, "bound", lambda *args: pytest.fail("a block was bounded"))
+        got = []
+        assert len(edt_calls(lambda: got.append(hausdorff(Mask(a, sp), Mask(b, sp), "directed")))) == 1
+        assert got == [float(distance_transform(Mask(b, sp))[a].max())]
+
     @settings(max_examples=150, deadline=None)
     @given(mask_pairs(), st.data())
     def test_shell_bounds_hold_for_every_voxel_of_a_box(self, pair, data):
@@ -338,8 +352,8 @@ class TestTopology:
         rng = np.random.default_rng(39)
         m = Mask(random_mask(rng, (8, 8, 3)), SP)
         t = topology_report(m, m)
-        assert (t.outliers, t.missed_components, t.false_communicating,
-                t.false_non_communicating) == (0, 0, 0, 0)
+        assert (t["outliers"], t["missed_components"], t["false_communicating"],
+                t["false_non_communicating"]) == (0, 0, 0, 0)
 
     def test_bridged_structures(self):
         # ground truth: two separate bars; prediction: one bar spanning both
@@ -349,9 +363,9 @@ class TestTopology:
         pred = np.zeros((9, 3, 1), bool)
         pred[0:9, 1, 0] = True
         t = topology_report(Mask(pred, SP), Mask(gt, SP))
-        assert t.false_communicating == 1
-        assert t.false_non_communicating == 0
-        assert t.outliers == 0 and t.missed_components == 0
+        assert t["false_communicating"] == 1
+        assert t["false_non_communicating"] == 0
+        assert t["outliers"] == 0 and t["missed_components"] == 0
 
     def test_fragmented_structure_with_outlier(self):
         # ground truth: one bar; prediction: the bar with a gap plus a far voxel
@@ -362,16 +376,16 @@ class TestTopology:
         pred[5:9, 1, 0] = True
         pred[4, 4, 0] = True  # spurious, far from the bar
         t = topology_report(Mask(pred, SP), Mask(gt, SP))
-        assert t.false_non_communicating == 1
-        assert t.outliers == 1
-        assert t.false_communicating == 0
-        assert t.missed_components == 0
+        assert t["false_non_communicating"] == 1
+        assert t["outliers"] == 1
+        assert t["false_communicating"] == 0
+        assert t["missed_components"] == 0
 
     def test_missed_component(self):
         gt = mask_of([(0, 0, 0), (5, 5, 0)], (6, 6, 1))
         pred = mask_of([(0, 0, 0)], (6, 6, 1))
         t = topology_report(pred, gt)
-        assert t.missed_components == 1 and t.outliers == 0
+        assert t["missed_components"] == 1 and t["outliers"] == 0
 
     def test_swap_exchanges_counts(self):
         rng = np.random.default_rng(40)
@@ -380,10 +394,10 @@ class TestTopology:
             b = Mask(random_mask(rng, (8, 8, 2), p=0.3, nonempty=False), SP)
             t_ab = topology_report(a, b)
             t_ba = topology_report(b, a)
-            assert t_ab.outliers == t_ba.missed_components
-            assert t_ab.missed_components == t_ba.outliers
-            assert t_ab.false_communicating == t_ba.false_non_communicating
-            assert t_ab.false_non_communicating == t_ba.false_communicating
+            assert t_ab["outliers"] == t_ba["missed_components"]
+            assert t_ab["missed_components"] == t_ba["outliers"]
+            assert t_ab["false_communicating"] == t_ba["false_non_communicating"]
+            assert t_ab["false_non_communicating"] == t_ba["false_communicating"]
 
     def test_matches_overlap_matrix_oracle(self):
         rng = np.random.default_rng(41)
@@ -401,8 +415,8 @@ class TestTopology:
                 pred, gt = Mask(layout(a), SP), Mask(layout(b), SP)
                 for x, y in ((pred, gt), (gt, pred)):
                     t = topology_report(x, y)
-                    assert (t.outliers, t.missed_components, t.false_communicating,
-                            t.false_non_communicating) == overlap_matrix_counts(x, y)
+                    assert (t["outliers"], t["missed_components"], t["false_communicating"],
+                            t["false_non_communicating"]) == overlap_matrix_counts(x, y)
 
 
 class TestEvaluate:
@@ -416,6 +430,10 @@ class TestEvaluate:
         assert rep.rvd == rvd(a, b)
         assert min(rep.outliers, rep.missed_components, rep.false_communicating,
                    rep.false_non_communicating) >= 0
+        # the counts come keyed by their report fields, in field order
+        topo = topology_report(a, b)
+        assert list(topo) == list(rep.__dataclass_fields__)[-4:]
+        assert all(getattr(rep, name) == count for name, count in topo.items())
 
     def test_perfect_prediction(self):
         rng = np.random.default_rng(43)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -198,6 +200,23 @@ class TestSauvola:
         for window in (10**6 + 1, 2**63 + 1, 10**30 + 1):
             assert (sauvola_threshold_field(s, 0.3, 100.0, window) == whole).all()
         assert whole[4, 2] == pytest.approx(sauvola_threshold(s, 4, 2, 0.3, 100.0, 10**30 + 1), abs=1e-9)
+
+    def test_field_bytes_are_pinned(self):
+        # the oracles above are approximate; this hash guards every last bit of
+        # the field over C and F layouts, 1-px sides, a strided float32 slice,
+        # few-level values and a window wider than every slice
+        rng = np.random.default_rng(16)
+        slices = [rng.uniform(0, 255, (13, 8)),
+                  np.asfortranarray(rng.uniform(0, 255, (7, 11))),
+                  rng.uniform(0, 255, (1, 9)),
+                  rng.uniform(0, 255, (6, 1)),
+                  rng.integers(0, 4, (10, 10)) * 60.0,
+                  rng.uniform(0, 255, (9, 7, 3)).astype(np.float32)[:, :, 1]]
+        digest = hashlib.sha256()
+        for s in slices:
+            for window, k, R in ((3, 0.3, 100.0), (5, 0.2, 128.0), (9, 0.5, 64.0), (41, 0.3, 100.0)):
+                digest.update(sauvola_threshold_field(s, k, R, window).tobytes())
+        assert digest.hexdigest() == "ee37753d20c6e7bc62abbcd566a7e49b15ecf1b3008220bd90b431460732ebde"
 
 
 def straight_tube_case(dims=(24, 24, 8), spacing=Spacing(1, 1, 1.5), radius=3.0,

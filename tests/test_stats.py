@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy import special
 
-from biliseg import (AnovaResult, ConfigError, DegenerateInputError, mean_std,
-                     one_way_anova, reg_inc_beta)
+from biliseg import AnovaResult, ConfigError, DegenerateInputError, mean_std, one_way_anova
+from biliseg.stats import reg_inc_beta
 
 
 class TestMeanStd:
@@ -129,6 +129,14 @@ class TestOneWayAnova:
             one_way_anova([[1, 2], [3]])
         with pytest.raises(DegenerateInputError):
             one_way_anova([[2, 2], [2, 2]])  # zero within-group variance
+
+    @pytest.mark.parametrize("groups", [
+        [[0.0, 1e-160], [1e10, 1e10]],  # F = inf
+        [[1e200, 1.0000000000000012e200], [-1e200, -1.0000000000000012e200]],  # (m - grand) ** 2
+    ], ids=["f-overflows", "between-sum-overflows"])
+    def test_overflow_leaves_f_undefined(self, groups):
+        with pytest.raises(DegenerateInputError):
+            one_way_anova(groups)
 
     def test_significance_boundary_is_strict(self):
         assert not AnovaResult(1.0, 1, 10, 0.05).significant
