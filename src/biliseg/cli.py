@@ -20,7 +20,7 @@ from enum import IntEnum
 import numpy as np
 
 from . import __version__
-from .core import Connectivity, Mask, connected_components
+from .core import Connectivity, GrownMask, Mask, connected_components
 from .errors import BilisegError, ConfigError, DegenerateInputError
 from .mesh import extract_surface_mesh, write_stl
 from .metrics import evaluate
@@ -30,7 +30,7 @@ from .preprocess import PreprocessParams, dynamic_crop, embed_mask, percentile_s
 from .report import COLUMNS, FORMATS, write_report
 from .segmentation import (FloodFillConfig, KeepLargest, KeepSeeded, MinSize,
                            RegionGrowConfig, ThresholdConfig, dual_threshold,
-                           flood_fill, postprocess, postprocess_grown, region_grow)
+                           flood_fill, postprocess, region_grow)
 from .stats import mean_std, one_way_anova
 from ._util import atomic_write
 
@@ -226,11 +226,8 @@ def cmd_segment(args) -> int:
     """Stretch, optionally crop, segment and post-process a volume, then write
     the mask and its provenance sidecar.
 
-    Only a threshold mask is labeled for post-processing. A flood-fill or
-    region-growing mask is one VERTEX26 component, before and after
-    ``embed_mask``, so ``postprocess_grown`` gives the same mask without
-    labeling it. When such a grown mask covers more than
-    ``FLOOD_WARNING_FRACTION`` of the input grid, one warning goes to stderr;
+    A seeded method's ``GrownMask`` that covers more than
+    ``FLOOD_WARNING_FRACTION`` of the input grid draws one warning on stderr;
     outputs and exit code stay as they are.
     """
     cfg = _load_json(args.config)
@@ -257,11 +254,10 @@ def cmd_segment(args) -> int:
         work, box = dynamic_crop(work, pre)
     local_mask = _run_method(method, work, method_cfg, box, volume.dims[2])
     mask = embed_mask(local_mask, box, volume.dims) if box else local_mask
-    seeded = method != "threshold"
-    reached = local_mask.count() / math.prod(volume.dims) if seeded else 0.0
+    reached = local_mask.count() / math.prod(volume.dims) if isinstance(local_mask, GrownMask) else 0.0
 
     try:
-        mask = (postprocess_grown if seeded else postprocess)(mask, policies)
+        mask = postprocess(mask, policies)
     except DegenerateInputError:
         mask = Mask(np.zeros(volume.dims, dtype=bool), volume.spacing)
 
@@ -332,7 +328,10 @@ def cmd_compare(args) -> int:
                 values = [_decode(float, r[key], f"{p}.{key}") for p, r in reports]
             except (KeyError, TypeError):
                 raise ConfigError(f"report for method {name!r} lacks a numeric {key!r} field") from None
-            row[col] = mean_std(values)
+            try:
+                row[col] = mean_std(values)
+            except DegenerateInputError as e:
+                raise DegenerateInputError(f"{col} of method {name!r}: {e}") from None
             per_column[col].append(values)
         rows.append(row)
 
@@ -340,8 +339,8 @@ def cmd_compare(args) -> int:
     for col, value_groups in per_column.items():
         try:
             anova[col] = one_way_anova(value_groups)
-        except DegenerateInputError:
-            anova[col] = None  # F undefined: zero within-group variance or overflow
+        except DegenerateInputError as e:
+            anova[col] = str(e)  # F is undefined; the text names why
     write_report(rows, args.format, args.output, anova=anova)
     print(f"compare: {len(rows)} methods -> {args.output}")
     return 0

@@ -118,6 +118,12 @@ class Mask:
         return int(np.count_nonzero(self.data))
 
 
+@dataclass(frozen=True, eq=False)
+class GrownMask(Mask):
+    """A mask that is one nonempty VERTEX26 component, as the seeded methods
+    grow it: ``connected_components`` labels it without a labeling pass."""
+
+
 @dataclass(frozen=True)
 class BBox:
     """Axis-aligned voxel box, both corners inclusive."""
@@ -166,8 +172,13 @@ def connected_components(mask: Mask, connectivity: Connectivity = Connectivity.V
     background, components 1..k in the x-fastest order of their first voxel.
     Cropping to the box changes neither the components nor that order.
     ``sizes[i]`` is the voxel count of label ``i``; ``sizes[0]`` counts the
-    background inside the box.
+    background inside the box. A ``GrownMask``'s VERTEX26 labels are its box.
     """
+    if isinstance(mask, GrownMask) and connectivity == Connectivity.VERTEX26:
+        box = bbox_of(mask)
+        labels = mask.data[box.slices()].view(np.uint8)
+        n = np.count_nonzero(labels)
+        return labels, np.array([labels.size - n, n]), box
     box = bbox_of(mask) if mask.data.any() else BBox((0, 0, 0), tuple(n - 1 for n in mask.dims))
     # C order over the (z, y, x) transpose is the x-fastest order
     raw, _ = ndimage.label(mask.data[box.slices()].T, structure=connectivity.structure().T)

@@ -70,11 +70,11 @@ def dynamic_crop(volume: Volume, params: PreprocessParams) -> tuple[Volume, BBox
 
 
 def embed_mask(mask: Mask, box: BBox, full_dims: tuple[int, int, int]) -> Mask:
-    """Place a mask produced inside ``box`` back onto the full grid."""
+    """Place a mask produced inside ``box`` back onto the full grid, as the same mask type."""
     if mask.dims != box.shape():
         raise GeometryError(f"mask dims {mask.dims} do not match box shape {box.shape()}")
     if any(h >= n for h, n in zip(box.hi, full_dims)):
         raise GeometryError(f"box {box} does not fit into grid dims {full_dims}")
     full = np.zeros(full_dims, dtype=bool)
     full[box.slices()] = mask.data
-    return Mask(full, mask.spacing)
+    return type(mask)(full, mask.spacing)

@@ -16,6 +16,7 @@ import json
 
 from .errors import ConfigError
 from .metrics import MetricsReport
+from .stats import AnovaResult
 from ._util import atomic_write
 
 # summary column -> the MetricsReport field it summarizes
@@ -58,7 +59,7 @@ def _anova_row(anova) -> dict:
     row = {"method": "ANOVA p-value"}
     for col in COLUMNS:
         res = anova.get(col)
-        if res is None:
+        if not isinstance(res, AnovaResult):
             row[col] = ""
         else:
             row[col] = f"{res.p_value:.6f}" + ("*" if res.significant else "")
@@ -69,9 +70,9 @@ def write_report(rows, fmt: str, path, anova) -> None:
     """Write a summary table.
 
     ``rows`` is a list of summary rows, each a mapping from the report columns
-    to (mean, std) pairs. ``anova`` maps metric columns to AnovaResult (None
-    where F is undefined); it adds a p-value row, and significant p-values
-    gain a ``*``.
+    to (mean, std) pairs. ``anova`` maps metric columns to AnovaResult, or
+    where F is undefined to the text of its cause ("zero within-group
+    variance"); it adds a p-value row, and significant p-values gain a ``*``.
     """
     if fmt not in FORMATS:
         raise ConfigError(f"unknown report format {fmt!r}, expected one of {FORMATS}")
@@ -79,7 +80,8 @@ def write_report(rows, fmt: str, path, anova) -> None:
 
     if fmt == "json":
         doc = {"columns": list(REPORT_COLUMNS), "rows": rows, "anova": {
-            col: None if res is None else {**dataclasses.asdict(res), "significant": res.significant}
+            col: {**dataclasses.asdict(res), "significant": res.significant}
+            if isinstance(res, AnovaResult) else None
             for col, res in anova.items()
         }}
         text = json.dumps(doc, indent=2) + "\n"
@@ -99,8 +101,8 @@ def write_report(rows, fmt: str, path, anova) -> None:
         lines.append("")
         lines.append("One-way ANOVA across methods (* marks p < 0.05):")
         for col, res in anova.items():
-            if res is None:
-                lines.append(f"- {col}: undefined (zero within-group variance)")
+            if not isinstance(res, AnovaResult):
+                lines.append(f"- {col}: undefined ({res})")
                 continue
             star = "*" if res.significant else ""
             lines.append(

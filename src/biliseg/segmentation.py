@@ -6,7 +6,8 @@ fill and region growing share one growth engine whose result is the unique
 maximal set reachable from the seed through voxels satisfying the method's
 acceptance predicate: the seed's connected component under the method's
 steps, found by one connected-component labeling call, so it does not depend
-on any traversal order.
+on any traversal order. Each step lies in the 3x3x3 cube, so the result is
+one VERTEX26 component: a ``GrownMask``, which ``postprocess`` need not label.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .core import (BBox, Connectivity, Mask, Volume, bbox_of, connected_components, in_bounds,
+from .core import (Connectivity, GrownMask, Mask, Volume, connected_components, in_bounds,
                    require_in_bounds)
 from .errors import ConfigError, DegenerateInputError
 
@@ -156,7 +157,7 @@ def grow_from_seed(allowed: np.ndarray, seed: SeedPoint, structure: np.ndarray) 
     return labels == labels[seed]
 
 
-def flood_fill(volume: Volume, cfg: FloodFillConfig) -> Mask:
+def flood_fill(volume: Volume, cfg: FloodFillConfig) -> GrownMask:
     """Maximal connected region around the seed whose members stay within
     ``tolerance`` of the seed intensity."""
     seed = require_in_bounds(cfg.seed, volume.dims)
@@ -165,7 +166,7 @@ def flood_fill(volume: Volume, cfg: FloodFillConfig) -> Mask:
     diff = np.subtract(volume.data, seed_value, dtype=np.float64)
     allowed = np.abs(diff, out=diff) <= cfg.tolerance
     reached = grow_from_seed(allowed, seed, cfg.connectivity.structure())
-    return Mask(reached, volume.spacing)
+    return GrownMask(reached, volume.spacing)
 
 
 def sauvola_threshold_field(slice_values: np.ndarray, k: float, R: float, window: int) -> np.ndarray:
@@ -197,7 +198,7 @@ def sauvola_threshold_field(slice_values: np.ndarray, k: float, R: float, window
     return m * (1.0 + k * (s / R - 1.0))
 
 
-def region_grow(volume: Volume, cfg: RegionGrowConfig) -> Mask:
+def region_grow(volume: Volume, cfg: RegionGrowConfig) -> GrownMask:
     """Single-seed adaptive region growing over a stack of slices.
 
     Expects intensities normalized to [0, 255] (run the percentile stretch
@@ -218,7 +219,7 @@ def region_grow(volume: Volume, cfg: RegionGrowConfig) -> Mask:
     structure = cfg.in_slice_connectivity.structure()
     structure[1, 1, [0, 2]] = cfg.propagate_slices
     reached = grow_from_seed(allowed, seed, structure)
-    return Mask(reached, volume.spacing)
+    return GrownMask(reached, volume.spacing)
 
 
 def postprocess(mask: Mask, policies) -> Mask:
@@ -231,37 +232,10 @@ def postprocess(mask: Mask, policies) -> Mask:
     relabeling after each policy would. The largest survivor is the first kept
     label of maximal size, which breaks ties on the x-fastest first voxel. A
     seed outside the foreground box lies on the background.
-
-    A flood-fill or region-growing mask needs no labeling: each growth step
-    lies in the 3x3x3 cube, so the mask is one VERTEX26 component, and
-    ``postprocess_grown`` hands the same policy body its box as the labels.
     """
     if not policies:
         return mask
-    return _apply_policies(mask, policies, *connected_components(mask))
-
-
-def postprocess_grown(mask: Mask, policies) -> Mask:
-    """``postprocess(mask, policies)`` for a nonempty mask that is a single
-    VERTEX26 component, without labeling it.
-
-    Every ``flood_fill`` and ``region_grow`` result is such a mask, before or
-    after ``embed_mask``: ``grow_from_seed`` returns the seed's component
-    under a 3x3x3 element, each of whose steps is a VERTEX26 step, and the
-    seed always belongs to it. The VERTEX26 labeling of its box is then the
-    box itself viewed as 0/1 labels.
-    """
-    if not policies:
-        return mask
-    box = bbox_of(mask)
-    labels = mask.data[box.slices()].view(np.uint8)
-    n = np.count_nonzero(labels)
-    return _apply_policies(mask, policies, labels, np.array([labels.size - n, n]), box)
-
-
-def _apply_policies(mask: Mask, policies, labels: np.ndarray, sizes: np.ndarray, box: BBox) -> Mask:
-    """The policy rules on one labeling ``(labels, sizes, box)`` of ``mask``,
-    as ``connected_components`` returns it."""
+    labels, sizes, box = connected_components(mask)
     keep = np.arange(len(sizes)) > 0  # every component, not the background
     for policy in policies:
         if isinstance(policy, KeepLargest):

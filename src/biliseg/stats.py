@@ -28,11 +28,19 @@ class AnovaResult:
 
 
 def mean_std(samples) -> tuple[float, float]:
-    """Arithmetic mean and sample standard deviation (N-1 in the denominator)."""
+    """Arithmetic mean and sample standard deviation (N-1 in the denominator).
+    Samples reaching 2**500 are scaled by an exact power of two so that their
+    squares stay finite; a result beyond the float range raises
+    DegenerateInputError."""
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 1 or len(x) < 2:
         raise DegenerateInputError(f"need at least 2 samples, got {x.size}")
-    return float(x.mean()), float(np.std(x, ddof=1))
+    exp = max(math.frexp(float(np.abs(x).max()))[1] - 500, 0)
+    x = np.ldexp(x, -exp)
+    try:
+        return math.ldexp(float(x.mean()), exp), math.ldexp(float(np.std(x, ddof=1)), exp)
+    except OverflowError:
+        raise DegenerateInputError("mean or spread beyond the float range") from None
 
 
 def _betacf(a: float, b: float, x: float) -> float:
@@ -97,7 +105,8 @@ def one_way_anova(groups) -> AnovaResult:
 
     F = (SSB / (k-1)) / (SSW / (N-k)); the p-value is the upper tail of the
     F(k-1, N-k) distribution via the incomplete beta. F is undefined, and
-    DegenerateInputError raised, on zero within-group variance or overflow.
+    DegenerateInputError raised with the cause as its text, on zero
+    within-group variance or when a sum of squares or F overflows.
     """
     if len(groups) < 2:
         raise ConfigError(f"need at least 2 groups, got {len(groups)}")
@@ -107,22 +116,26 @@ def one_way_anova(groups) -> AnovaResult:
 
     k = len(arrays)
     n_total = sum(a.size for a in arrays)
-    means = [float(a.mean()) for a in arrays]
+    # an overflow shows as a non-finite sum of squares or F, checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = [float(a.mean()) for a in arrays]
+        ssw = sum(float(((a - m) ** 2).sum()) for a, m in zip(arrays, means))
     # weighted mean of group means: groups with equal means cancel exactly
     grand = sum(a.size * m for a, m in zip(arrays, means)) / n_total
     try:
         ssb = sum(a.size * (m - grand) ** 2 for a, m in zip(arrays, means))
     except OverflowError:
-        raise DegenerateInputError("between-group sum of squares overflows, F is undefined") from None
-    ssw = sum(float(((a - a.mean()) ** 2).sum()) for a in arrays)
+        raise DegenerateInputError("between-group sum of squares overflows") from None
     if ssw == 0.0:
-        raise DegenerateInputError("zero within-group variance, F is undefined")
+        raise DegenerateInputError("zero within-group variance")
+    if not math.isfinite(ssw):
+        raise DegenerateInputError("within-group sum of squares overflows")
 
     df_between = k - 1
     df_within = n_total - k
     f = (ssb / df_between) / (ssw / df_within)
     if not math.isfinite(f):
-        raise DegenerateInputError("F overflows the float range, F is undefined")
+        raise DegenerateInputError("F overflows the float range")
     x = df_between * f / (df_between * f + df_within)
     p = 1.0 - reg_inc_beta(x, df_between / 2.0, df_within / 2.0)
     return AnovaResult(f_stat=f, df_between=df_between, df_within=df_within, p_value=p)

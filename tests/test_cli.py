@@ -7,11 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.ndimage
 from hypothesis import example, given, settings, strategies as st
 
 from biliseg import Mask, Spacing, __version__, read_nifti, write_nifti
 import biliseg.cli
-import biliseg.segmentation
 from biliseg.cli import main
 from biliseg.phantom import MAX_SEGMENTS, MAX_VOXELS
 
@@ -366,17 +366,17 @@ class TestSegmentCommand:
             assert calls == [name]
 
     def test_only_threshold_masks_are_labeled_for_postprocess(self, tmp_path, demo_volume, monkeypatch):
-        # a flood-fill or region-growing mask is one VERTEX26 component, so its
-        # postprocess needs no labeling; the crop labels through its own module
+        # besides the crop's labeling, a threshold mask is labeled for its
+        # postprocess, while a flood-fill or region-growing mask is labeled
+        # only by the growth engine: it is one VERTEX26 component
         calls = []
-        original = biliseg.segmentation.connected_components
-        monkeypatch.setattr(biliseg.segmentation, "connected_components",
-                            lambda *a: calls.append(1) or original(*a))
-        for method, labelings in (("threshold", 1), ("floodfill", 0), ("regiongrow", 0)):
+        original = scipy.ndimage.label
+        monkeypatch.setattr(scipy.ndimage, "label", lambda *a, **k: calls.append(1) or original(*a, **k))
+        for method in biliseg.cli.METHODS:
             calls.clear()
             assert main(["segment", "--in", str(demo_volume), "--out", str(tmp_path / f"{method}.nii"),
                          "--method", method, "--config", str(CONFIGS / "segment_demo.json")]) == 0
-            assert len(calls) == labelings, method
+            assert len(calls) == 2, method
 
     def test_demo_configs_draw_no_warning(self, tmp_path, demo_volume, capsys):
         capsys.readouterr()
@@ -662,7 +662,7 @@ class TestCompareCommand:
     @pytest.mark.parametrize("fmt", ["json", "csv", "markdown"])
     def test_anova_whose_f_overflows_is_undefined(self, tmp_path, capsys, fmt):
         # finite DSC values whose F overflows to inf: the column's ANOVA is
-        # written as undefined, as for zero within-group variance
+        # written as undefined, and the Markdown names the cause
         a1 = fake_report(tmp_path / "a1.json", dsc=0.0)
         a2 = fake_report(tmp_path / "a2.json", dsc=1e-160)
         b1 = fake_report(tmp_path / "b1.json", dsc=1e10)
@@ -679,7 +679,33 @@ class TestCompareCommand:
             header, *_, p_row = text.splitlines()
             assert p_row.split(",")[header.split(",").index("DSC")] == ""
         else:
-            assert "- DSC: undefined (zero within-group variance)" in text
+            assert "- DSC: undefined (F overflows the float range)" in text
+
+    def test_within_group_overflow_is_undefined_without_warnings(self, tmp_path, capsys):
+        # the within-group squares of finite DSC values overflow; so would
+        # np.std's, yet the spread cell stays finite
+        a1 = fake_report(tmp_path / "a1.json", dsc=-1e160)
+        a2 = fake_report(tmp_path / "a2.json", dsc=1e160)
+        b1 = fake_report(tmp_path / "b1.json", dsc=0.5)
+        b2 = fake_report(tmp_path / "b2.json", dsc=0.6)
+        out = tmp_path / "s.md"
+        rc = main(["compare", "--group", "m1", a1, a2, "--group", "m2", b1, b2,
+                   "--out", str(out), "--format", "markdown"])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+        text = out.read_text()
+        assert "- DSC: undefined (within-group sum of squares overflows)" in text
+        assert f"| m1 | 0.000 ±{1.414213562373095e160:.3f} |" in text
+
+    def test_spread_beyond_the_float_range_exit_4(self, tmp_path, capsys):
+        _, _, b1, b2 = self.make_reports(tmp_path)
+        a1 = fake_report(tmp_path / "a1.json", dsc=-1.7e308)
+        a2 = fake_report(tmp_path / "a2.json", dsc=1.7e308)
+        out = tmp_path / "s.json"
+        rc = main(["compare", "--group", "m1", a1, a2, "--group", "m2", b1, b2, "--out", str(out)])
+        assert rc == 4
+        assert "DSC of method 'm1': mean or spread beyond the float range" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("dsc", [math.nan, math.inf, -math.inf, "nan", "0.8", True, None],
                              ids=["NaN", "Infinity", "-Infinity", "nan-string", "numeric-string",

@@ -18,7 +18,7 @@ ROW = {
 ANOVA = {
     "DSC": AnovaResult(8.0, 1, 2, 0.0123),
     "HD_mm": AnovaResult(0.0, 1, 2, 1.0),
-    "RVD": None,
+    "RVD": "zero within-group variance",  # F undefined: the cause
     "outliers": AnovaResult(1.0, 1, 2, 0.5),
     "false_communicating_IHDs": AnovaResult(1.0, 1, 2, 0.5),
     "false_non_communicating_IHDs": AnovaResult(1.0, 1, 2, 0.5),
@@ -79,6 +79,7 @@ class TestWriteReport:
         write_report([ROW], "markdown", path, ANOVA)
         text = path.read_text()
         assert "| threshold | 0.819 ±0.057 |" in text
+        assert "- RVD: undefined (zero within-group variance)\n" in text
 
     def test_byte_identical_reruns(self, tmp_path):
         for fmt, name in (("json", "a.json"), ("csv", "a.csv"), ("markdown", "a.md")):

@@ -9,9 +9,9 @@ from biliseg import (BoundsError, ConfigError, Connectivity, DegenerateInputErro
                      RegionGrowConfig, Spacing, ThresholdConfig, Volume,
                      dual_threshold, flood_fill, postprocess, region_grow, sauvola_threshold_field)
 from biliseg.phantom import PhantomParams, TubeSegment, rasterize_tree, render_intensities
-from biliseg.core import BBox, connected_components
+from biliseg.core import BBox, GrownMask, connected_components
 from biliseg.preprocess import embed_mask
-from biliseg.segmentation import grow_from_seed, postprocess_grown
+from biliseg.segmentation import grow_from_seed
 from conftest import (flood_fill_bfs, neighbor_offsets, ordered_components, reachable_bfs,
                       sauvola_threshold)
 
@@ -516,7 +516,9 @@ class TestPostprocessGrown:
     @given(grown_masks(), st.data())
     def test_matches_postprocess(self, grown, data):
         mask, seed = grown
-        assert len(connected_components(mask)[1]) == 2  # one VERTEX26 component
+        assert isinstance(mask, GrownMask)  # also after embed_mask
+        plain = Mask(mask.data, mask.spacing)
+        assert len(connected_components(plain)[1]) == 2  # one VERTEX26 component
         n = mask.count()
         points = st.just(seed) | st.tuples(*(st.integers(0, d - 1) for d in mask.dims))
         policies = data.draw(st.lists(
@@ -524,14 +526,26 @@ class TestPostprocessGrown:
             | st.builds(KeepSeeded, st.lists(points, min_size=1, max_size=3).map(tuple)),
             max_size=4))
         try:
-            want = postprocess(mask, policies)
+            want = postprocess(plain, policies)
         except DegenerateInputError:
             with pytest.raises(DegenerateInputError):
-                postprocess_grown(mask, policies)
+                postprocess(mask, policies)
             return
-        got = postprocess_grown(mask, policies)
+        got = postprocess(mask, policies)
         assert got.data.tobytes() == want.data.tobytes()
         assert got.data.strides == want.data.strides and got.spacing == want.spacing
+
+    @settings(max_examples=200, deadline=None)
+    @given(grown_masks())
+    def test_labels_match_a_labeling_pass(self, grown):
+        mask, _ = grown
+        plain = Mask(mask.data, mask.spacing)
+        for conn in Connectivity:
+            labels, sizes, box = connected_components(mask, conn)
+            want_labels, want_sizes, want_box = connected_components(plain, conn)
+            assert box == want_box, conn
+            assert sizes.tolist() == want_sizes.tolist(), conn
+            assert labels.shape == want_labels.shape and (labels == want_labels).all(), conn
 
 
 class TestDeterminism:

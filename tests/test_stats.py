@@ -28,6 +28,17 @@ class TestMeanStd:
         _, s = mean_std(x)
         assert s == pytest.approx(float(np.std(x, ddof=1)), rel=1e-12)
 
+    @pytest.mark.parametrize("samples, expected", [
+        ([-1e160, 1e160], (0.0, 1.414213562373095e160)),  # the squares overflow
+        ([1e308, 1.7e308], (1.35e308, 4.949747468305832e307)),  # the sum overflows
+    ], ids=["squares-overflow", "sum-overflows"])
+    def test_finite_samples_near_the_float_limit(self, samples, expected):
+        assert mean_std(samples) == expected
+
+    def test_spread_beyond_the_float_range_rejected(self):
+        with pytest.raises(DegenerateInputError, match="beyond the float range"):
+            mean_std([-1.7e308, 1.7e308])
+
 
 class TestRegIncBeta:
     def test_uniform_cdf(self):
@@ -133,9 +144,10 @@ class TestOneWayAnova:
     @pytest.mark.parametrize("groups", [
         [[0.0, 1e-160], [1e10, 1e10]],  # F = inf
         [[1e200, 1.0000000000000012e200], [-1e200, -1.0000000000000012e200]],  # (m - grand) ** 2
-    ], ids=["f-overflows", "between-sum-overflows"])
+        [[-1e160, 1e160], [0.5, 0.6]],  # within-group squares
+    ], ids=["f-overflows", "between-sum-overflows", "within-sum-overflows"])
     def test_overflow_leaves_f_undefined(self, groups):
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(DegenerateInputError, match="overflows"):
             one_way_anova(groups)
 
     def test_significance_boundary_is_strict(self):
