@@ -4,6 +4,8 @@ The surface of a mask is the set of foreground voxel faces adjacent to
 background or to the grid boundary. Each exposed face becomes one quad
 (two triangles) with an outward axis-aligned normal; vertex coordinates
 are in mm (voxel centers at index * spacing, faces at half-spacing offsets).
+Faces are found on the foreground box padded by one voxel of background,
+which stands in for the neighbors off the grid, and indexed in the grid.
 A mesh is the array of 50 B STL records the file holds: it is filled in
 place and written with no byte copy.
 """
@@ -11,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Mask
+from .core import Mask, bbox_of
 from .errors import DegenerateInputError, FormatError, GeometryError
 from ._util import atomic_write
 
@@ -21,27 +23,15 @@ TRIANGLE_RECORD = np.dtype([("normal", "<f4", (3,)), ("vertices", "<f4", (3, 3))
 _QUAD_CORNERS = np.array([(-1, -1), (1, -1), (1, 1), (-1, 1)])
 
 
-def _exposed(mask: np.ndarray, axis: int, sign: int) -> np.ndarray:
-    """Foreground voxels whose (axis, sign) neighbor is background or off-grid."""
-    src = [slice(None)] * 3
-    dst = [slice(None)] * 3
-    if sign > 0:
-        dst[axis], src[axis] = slice(None, -1), slice(1, None)
-    else:
-        dst[axis], src[axis] = slice(1, None), slice(None, -1)
-    exposed = mask.copy(order="K")
-    exposed[tuple(dst)] &= ~mask[tuple(src)]
-    return exposed
-
-
 def extract_surface_mesh(mask: Mask) -> np.ndarray:
     """Quad surface of a mask as a ``TRIANGLE_RECORD`` array, two triangles
     per exposed voxel face.
 
     Triangles are grouped by face direction (x+, x-, y+, y-, z+, z-), each
-    group holding the first triangle of every quad and then the second.
-    Corners are summed in float64 and rounded once to float32. A grid whose
-    far corner rounds to float32 infinity raises ``GeometryError``.
+    group holding the first triangle of every quad and then the second, and
+    the quads in C index order of their voxels. Corners are summed in float64
+    and rounded once to float32. A grid whose far corner rounds to float32
+    infinity raises ``GeometryError``.
     """
     if not mask.data.any():
         raise DegenerateInputError("cannot extract a surface from an empty mask")
@@ -52,7 +42,10 @@ def extract_surface_mesh(mask: Mask) -> np.ndarray:
     if np.isinf(far).any():
         raise GeometryError(f"spacing {mask.spacing.as_tuple()}: vertices pass STL's float32 range")
 
-    blocks = [(axis, sign, np.argwhere(_exposed(mask.data, axis, sign)))
+    # the roll wraps only into the ring of background around the box
+    box = bbox_of(mask)
+    padded = np.pad(mask.data[box.slices()], 1)
+    blocks = [(axis, sign, np.subtract(box.lo, 1) + np.argwhere(padded & ~np.roll(padded, -sign, axis)))
               for axis in range(3) for sign in (1, -1)]
     mesh = np.zeros(2 * sum(len(idx) for *_, idx in blocks), dtype=TRIANGLE_RECORD)
     start = 0

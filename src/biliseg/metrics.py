@@ -281,16 +281,17 @@ def topology_report(pred: Mask, gt: Mask,
     their ``MetricsReport`` field names in field order.
 
     The counts depend on the partition into components only. Each mask is
-    labeled inside its own foreground box, and every overlap voxel is read in
-    both label crops, offset by each box's corner.
+    labeled inside its own foreground box. Every overlap voxel lies in both
+    boxes, so the overlap is found inside the truth's box and read in the
+    prediction's label crop, offset by the difference of the two corners.
     """
     same_geometry(pred, gt)
     lp, sizes_p, box_p = connected_components(pred, connectivity)
     lg, sizes_g, box_g = connected_components(gt, connectivity)
     kp, kg = len(sizes_p) - 1, len(sizes_g) - 1
-    both = np.nonzero(pred.data & gt.data)
-    at_p = lp[tuple(i - lo for i, lo in zip(both, box_p.lo))]
-    at_g = lg[tuple(i - lo for i, lo in zip(both, box_g.lo))]
+    both = np.nonzero(pred.data[box_g.slices()] & gt.data[box_g.slices()])
+    at_g = lg[both]
+    at_p = lp[tuple(i + g - p for i, g, p in zip(both, box_g.lo, box_p.lo))]
     pairs = np.unique(at_p.astype(np.int64) * (kg + 1) + at_g)
     pred_hit = np.unique(pairs // (kg + 1))
     gt_hit = np.unique(pairs % (kg + 1))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import Mask, Spacing, Volume
-from .errors import FormatError
+from .errors import FormatError, GeometryError
 from ._util import atomic_write
 
 HEADER_SIZE = 348
@@ -124,8 +124,10 @@ def write_nifti(obj, path) -> None:
     """Write a Volume (float32) or Mask (uint8 with values 0/1) as .nii.
 
     The write is atomic: either the complete file appears at ``path`` or
-    nothing is left behind. Reading the file back reproduces dims, spacing
-    and data bit-exactly.
+    nothing is left behind. Reading the file back reproduces dims and data
+    bit-exactly and the spacing rounded to float32, as pixdim stores it. A
+    dim above 32767, or a spacing whose float32 value is infinite or zero,
+    does not fit the header and raises ``GeometryError`` before any write.
     """
     if isinstance(obj, Mask):
         code = 2
@@ -133,6 +135,12 @@ def write_nifti(obj, path) -> None:
         code = 16
     else:
         raise TypeError(f"expected Volume or Mask, got {type(obj).__name__}")
+    if max(obj.dims) > 32767:
+        raise GeometryError(f"dims {obj.dims}: NIfTI-1 stores at most 32767 voxels per axis")
+    with np.errstate(over="ignore"):  # pixdim, as the header stores it
+        pixdim = np.array(obj.spacing.as_tuple()).astype(np.float32)
+    if np.isinf(pixdim).any() or not pixdim.all():
+        raise GeometryError(f"spacing {obj.spacing.as_tuple()}: pixdim leaves NIfTI's float32 range")
     # x-fastest on disk: the transpose of a Fortran-ordered body is C-contiguous
     body = obj.data.astype(np.dtype(DTYPES[code]).newbyteorder("<"), order="F", copy=False)
 
@@ -143,7 +151,7 @@ def write_nifti(obj, path) -> None:
     hdr["dim"] = (3, *obj.dims, 1, 1, 1, 1)
     hdr["datatype"] = code
     hdr["bitpix"] = body.itemsize * 8
-    hdr["pixdim"] = (1, *obj.spacing.as_tuple(), 0, 0, 0, 0)
+    hdr["pixdim"] = (1, *pixdim, 0, 0, 0, 0)
     hdr["vox_offset"] = VOX_OFFSET
     hdr["xyzt_units"] = 2  # mm
     hdr["descrip"] = b"biliseg"

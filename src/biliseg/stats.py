@@ -27,16 +27,22 @@ class AnovaResult:
         return self.p_value < 0.05
 
 
+def _scaled(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(x / 2**exp, exp)``: samples reaching 2**500 are scaled by an exact
+    power of two so that their sums and squares stay finite; smaller ones
+    keep every byte (``exp`` is 0)."""
+    exp = max(math.frexp(float(np.abs(x).max()))[1] - 500, 0)
+    return np.ldexp(x, -exp), exp
+
+
 def mean_std(samples) -> tuple[float, float]:
-    """Arithmetic mean and sample standard deviation (N-1 in the denominator).
-    Samples reaching 2**500 are scaled by an exact power of two so that their
-    squares stay finite; a result beyond the float range raises
-    DegenerateInputError."""
+    """Arithmetic mean and sample standard deviation (N-1 in the denominator),
+    taken on the samples as ``_scaled`` leaves them; a result beyond the
+    float range raises DegenerateInputError."""
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 1 or len(x) < 2:
         raise DegenerateInputError(f"need at least 2 samples, got {x.size}")
-    exp = max(math.frexp(float(np.abs(x).max()))[1] - 500, 0)
-    x = np.ldexp(x, -exp)
+    x, exp = _scaled(x)
     try:
         return math.ldexp(float(x.mean()), exp), math.ldexp(float(np.std(x, ddof=1)), exp)
     except OverflowError:
@@ -106,7 +112,9 @@ def one_way_anova(groups) -> AnovaResult:
     F = (SSB / (k-1)) / (SSW / (N-k)); the p-value is the upper tail of the
     F(k-1, N-k) distribution via the incomplete beta. F is undefined, and
     DegenerateInputError raised with the cause as its text, on zero
-    within-group variance or when a sum of squares or F overflows.
+    within-group variance or when a sum of squares or F overflows, checked
+    in that order. Group means are taken as ``mean_std`` takes them, so a
+    group's mean is finite while its samples are.
     """
     if len(groups) < 2:
         raise ConfigError(f"need at least 2 groups, got {len(groups)}")
@@ -118,16 +126,19 @@ def one_way_anova(groups) -> AnovaResult:
     n_total = sum(a.size for a in arrays)
     # an overflow shows as a non-finite sum of squares or F, checked below
     with np.errstate(over="ignore", invalid="ignore"):
-        means = [float(a.mean()) for a in arrays]
+        means = [float(np.ldexp(x.mean(), exp)) for x, exp in map(_scaled, arrays)]
         ssw = sum(float(((a - m) ** 2).sum()) for a, m in zip(arrays, means))
-    # weighted mean of group means: groups with equal means cancel exactly
+    if ssw == 0.0:
+        raise DegenerateInputError("zero within-group variance")
+    # weighted mean of group means: groups with equal means cancel exactly;
+    # neither it nor SSB is finite once the weighted sum overflows
     grand = sum(a.size * m for a, m in zip(arrays, means)) / n_total
     try:
         ssb = sum(a.size * (m - grand) ** 2 for a, m in zip(arrays, means))
     except OverflowError:
-        raise DegenerateInputError("between-group sum of squares overflows") from None
-    if ssw == 0.0:
-        raise DegenerateInputError("zero within-group variance")
+        ssb = math.inf
+    if not math.isfinite(ssb):
+        raise DegenerateInputError("between-group sum of squares overflows")
     if not math.isfinite(ssw):
         raise DegenerateInputError("within-group sum of squares overflows")
 

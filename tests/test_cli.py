@@ -175,6 +175,15 @@ class TestPhantomCommand:
         assert capsys.readouterr().err.startswith("error: segment_length 1e+308 over 4 segments")
         assert not (tmp_path / "huge_v.nii").exists() and not (tmp_path / "huge_t.nii").exists()
 
+    def test_dim_past_the_nifti_header_exit_2(self, tmp_path, capsys):
+        # 40000 x 3 x 1 is under MAX_VOXELS, but dim[] is int16 in the header
+        assert self.run_demo_phantom(tmp_path, "long", dims=[40000, 3, 1], spacing=[1.0, 1.0, 1.0],
+                                     root=[10.0, 1.0, 0.0], root_direction=[1.0, 0.0, 0.0],
+                                     radius_root=1.0, max_depth=1) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: dims (40000, 3, 1)") and "Traceback" not in err
+        assert not (tmp_path / "long_v.nii").exists() and not (tmp_path / "long_t.nii").exists()
+
     def test_root_direction_of_any_magnitude(self, tmp_path, capsys):
         # |root_direction|**2 overflows; the direction is the same as (1, 1, 1)'s
         assert self.run_demo_phantom(tmp_path, "big", root_direction=[1e300] * 3) == 0

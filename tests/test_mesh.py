@@ -114,13 +114,18 @@ class TestExtraction:
         mask = np.array(bits, dtype=bool).reshape(dims, order=data.draw(st.sampled_from("CF")))
         mask[tuple(data.draw(st.integers(0, n - 1)) for n in dims)] = True
         spacing = tuple(data.draw(st.floats(0.05, 20.0)) for _ in range(3))
-        vertices, normals = surface_faces_walk(mask, spacing)
-        expected = np.zeros(len(vertices), dtype=TRIANGLE_RECORD)
-        expected["vertices"] = vertices
-        expected["normal"] = normals
-        mesh = extract_surface_mesh(Mask(mask, Spacing(*spacing)))
-        assert mesh.dtype == TRIANGLE_RECORD
-        assert mesh.tobytes() == expected.tobytes()
+        # also at a drawn offset inside a larger empty grid, so that the
+        # foreground box lies away from every grid face
+        before, after = ([data.draw(st.integers(1, 3)) for _ in range(3)] for _ in range(2))
+        placed = np.pad(mask, list(zip(before, after)))
+        for grid in (mask, np.ascontiguousarray(placed), np.asfortranarray(placed)):
+            vertices, normals = surface_faces_walk(grid, spacing)
+            expected = np.zeros(len(vertices), dtype=TRIANGLE_RECORD)
+            expected["vertices"] = vertices
+            expected["normal"] = normals
+            mesh = extract_surface_mesh(Mask(grid, Spacing(*spacing)))
+            assert mesh.dtype == TRIANGLE_RECORD
+            assert mesh.tobytes() == expected.tobytes()
 
 
 class TestStl:

@@ -410,6 +410,16 @@ class TestTopology:
             # its own offset, so the two label crops have different corners
             pairs += [(a, b), (place_in_grid(rng, a, empty.shape), place_in_grid(rng, b, empty.shape)),
                       (empty, place_in_grid(rng, b, empty.shape))]
+        # the drawn boxes always overlap and rarely nest, so two pairs add
+        # disjoint boxes and one box strictly inside the other (each pair is
+        # also read swapped below)
+        apart_a, apart_b, outer, inner = (empty.copy() for _ in range(4))
+        apart_a[:4, :4, :2] = random_mask(rng, (4, 4, 2))
+        apart_b[6:, 6:, 3:] = random_mask(rng, (5, 5, 2))
+        outer[...] = random_mask(rng, empty.shape, p=0.3)
+        outer[0, 0, 0] = outer[-1, -1, -1] = True
+        inner[3:8, 3:8, 1:4] = random_mask(rng, (5, 5, 3), p=0.6)
+        pairs += [(apart_a, apart_b), (inner, outer)]
         for a, b in pairs:
             for layout in (np.ascontiguousarray, np.asfortranarray):
                 pred, gt = Mask(layout(a), SP), Mask(layout(b), SP)

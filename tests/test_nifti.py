@@ -1,12 +1,13 @@
 import contextlib
 import io
 import struct
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from biliseg import FormatError, Mask, Spacing, Volume, read_nifti, write_nifti
+from biliseg import FormatError, GeometryError, Mask, Spacing, Volume, read_nifti, write_nifti
 from biliseg.cli import main
 from conftest import raw_nifti_bytes
 
@@ -161,6 +162,26 @@ class TestWrite:
     def test_rejects_other_types(self, tmp_path):
         with pytest.raises(TypeError):
             write_nifti(np.zeros((2, 2, 2)), tmp_path / "x.nii")
+
+    def test_largest_dim_round_trips(self, tmp_path):
+        mask = Mask(np.ones((32767, 1, 1), bool), Spacing(0.3, 1.0, 1.0))
+        write_nifti(mask, tmp_path / "m.nii")
+        back = read_nifti(tmp_path / "m.nii", as_mask=True)
+        assert back.dims == (32767, 1, 1) and back.data.all()
+        # pixdim is float32: 0.3 reads back as its float32 value
+        assert back.spacing.dx == float(np.float32(0.3)) == 0.30000001192092896
+
+    @pytest.mark.parametrize("dims, spacing, match", [
+        ((32768, 1, 1), (1.0, 1.0, 1.0), "at most 32767 voxels per axis"),
+        ((1, 1, 1), (1e39, 1e39, 1e39), "float32 range"),  # float32 inf
+        ((1, 1, 1), (1e-46, 1e-46, 1e-46), "float32 range"),  # float32 zero
+    ], ids=["dim-32768", "spacing-1e39", "spacing-1e-46"])
+    def test_grid_the_header_cannot_hold_rejected(self, tmp_path, dims, spacing, match):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GeometryError, match=match):
+                write_nifti(Mask(np.ones(dims, bool), Spacing(*spacing)), tmp_path / "m.nii")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestRoundTripAllDatatypes:

@@ -141,13 +141,18 @@ class TestOneWayAnova:
         with pytest.raises(DegenerateInputError):
             one_way_anova([[2, 2], [2, 2]])  # zero within-group variance
 
-    @pytest.mark.parametrize("groups", [
-        [[0.0, 1e-160], [1e10, 1e10]],  # F = inf
-        [[1e200, 1.0000000000000012e200], [-1e200, -1.0000000000000012e200]],  # (m - grand) ** 2
-        [[-1e160, 1e160], [0.5, 0.6]],  # within-group squares
-    ], ids=["f-overflows", "between-sum-overflows", "within-sum-overflows"])
-    def test_overflow_leaves_f_undefined(self, groups):
-        with pytest.raises(DegenerateInputError, match="overflows"):
+    @pytest.mark.parametrize("groups, cause", [
+        ([[0.0, 1e-160], [1e10, 1e10]], "F overflows the float range"),
+        ([[1e200, 1.0000000000000012e200], [-1e200, -1.0000000000000012e200]],  # (m - grand) ** 2
+         "between-group sum of squares overflows"),
+        ([[-1e160, 1e160], [0.5, 0.6]], "within-group sum of squares overflows"),
+        # the group's mean is finite, the weighted sum of means is not
+        ([[1.7e308, 1.7e308], [0.5, 0.6]], "between-group sum of squares overflows"),
+        ([[1.7e308, 1.7e308], [1.7e308, 1.7e308]], "zero within-group variance"),
+    ], ids=["f-overflows", "between-sum-overflows", "within-sum-overflows", "grand-mean-overflows",
+            "huge-equal-groups"])
+    def test_overflow_leaves_f_undefined(self, groups, cause):
+        with pytest.raises(DegenerateInputError, match=f"^{cause}$"):
             one_way_anova(groups)
 
     def test_significance_boundary_is_strict(self):
