@@ -212,7 +212,19 @@ def render_intensities(gt: Mask, params: PhantomParams) -> Volume:
     """Two-class Gaussian image: foreground Normal(fg_mean, noise_std),
     background Normal(bg_mean, noise_std), clamped to [0, 255]."""
     _, rng = _streams(params.rng_seed)
-    base = np.where(gt.data, float(params.fg_mean), float(params.bg_mean))
+    fg, bg = float(params.fg_mean), float(params.bg_mean)
     if params.noise_std > 0:
-        base = base + params.noise_std * rng.standard_normal(gt.dims)
-    return Volume(np.clip(base, 0.0, 255.0).astype(np.float32), gt.spacing)
+        # the noise scaled and shifted in place, one x-slab of the C-ordered
+        # draw at a time: z * noise_std + mean is mean + noise_std * z bit for
+        # bit, since IEEE addition and multiplication commute
+        out = rng.standard_normal(gt.dims)
+        # a value past the float range becomes +-inf, which the clip maps to
+        # 255 or 0 like any other value out of range
+        with np.errstate(over="ignore"):
+            out *= params.noise_std
+            for noise, inside in zip(out, gt.data):
+                noise += np.where(inside, fg, bg)
+    else:
+        # not 0.0 + bg_mean, which would turn a bg_mean of -0.0 into +0.0
+        out = np.where(gt.data, fg, bg)
+    return Volume(np.clip(out, 0.0, 255.0, out=out).astype(np.float32), gt.spacing)

@@ -1,6 +1,7 @@
 """Contrast normalization and dynamic cropping applied before segmentation."""
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -38,18 +39,61 @@ class PreprocessParams:
             raise ConfigError(f"crop_margin must be >= 0, got {self.crop_margin}")
 
 
+def _percentiles(data: np.ndarray, qs) -> np.ndarray:
+    """``np.percentile(data.astype(np.float64), qs)``, bit for bit, from one
+    partition of a float32 copy instead of a float64 copy of the grid.
+
+    The order statistics of float32 data are float32 values. Between them
+    numpy's linear method interpolates in float64: virtual index
+    ``v = (n - 1) * (q / 100)``, order statistics ``floor(v)`` and the next,
+    ``g = v - floor(v)``, and ``a + (b - a) * g``, or ``b - (b - a) * (1 - g)``
+    where ``g >= 0.5``. At ``v >= n - 1`` numpy takes the last statistic
+    twice, indexed as -1, so its ``g`` is ``v + 1``; that ``g`` decides the
+    sign of a zero result, so it is kept here. Only where the data holds both
+    +0.0 and -0.0 can the sign of a zero result differ: their order after a
+    partition is left open, in numpy's as in this one.
+    """
+    flat = np.array(data, dtype=np.float32).ravel(order="K")  # a view of the copy
+    n = flat.size
+    spots = []
+    for q in qs:
+        v = (n - 1) * (q / 100)
+        i = min(math.floor(v), n - 1)
+        spots.append((v, i, min(i + 1, n - 1)))
+    flat.partition(sorted({k for _, i, j in spots for k in (i, j)}))
+    values = []
+    for v, i, j in spots:
+        a, b = float(flat[i]), float(flat[j])
+        g = v + 1 if v >= n - 1 else v - i
+        values.append(b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g)
+    return np.array(values)
+
+
 def percentile_stretch(volume: Volume, params: PreprocessParams | None = None) -> Volume:
     """Affine-map intensities onto [0, 255], clamping below/above the
     ``p_low``/``p_high`` percentiles (linear interpolation of order
     statistics). Volumes with no spread map to all zeros.
+
+    The result is float32 in the input's memory layout. The map runs in
+    float64 on one slab at a time, so no float64 copy of the grid is made.
+    Slabs run along the axis slowest in memory, so each is contiguous:
+    z-slabs of the x-fastest (F) layout that ``read_nifti`` gives, x-slabs
+    of C order.
     """
     params = params or PreprocessParams()
-    data = volume.data.astype(np.float64)
-    lo, hi = np.percentile(data, (params.p_low, params.p_high))
+    data = volume.data
+    lo, hi = _percentiles(data, (params.p_low, params.p_high))
     if hi <= lo:
-        return Volume(np.zeros(volume.dims, dtype=np.float32), volume.spacing)
-    out = np.clip((data - lo) / (hi - lo), 0.0, 1.0) * 255.0
-    return Volume(out.astype(np.float32), volume.spacing)
+        return Volume(np.zeros_like(data, dtype=np.float32), volume.spacing)
+    out = np.empty_like(data, dtype=np.float32)
+    for src, dst in zip(*((data.T, out.T) if data.flags.f_contiguous else (data, out))):
+        t = src.astype(np.float64)
+        t -= lo
+        t /= hi - lo
+        np.clip(t, 0.0, 1.0, out=t)
+        t *= 255.0
+        dst[...] = t
+    return Volume(out, volume.spacing)
 
 
 def dynamic_crop(volume: Volume, params: PreprocessParams) -> tuple[Volume, BBox]:
@@ -61,7 +105,7 @@ def dynamic_crop(volume: Volume, params: PreprocessParams) -> tuple[Volume, BBox
     data = volume.data
     if float(data.min()) == float(data.max()):
         raise DegenerateInputError("constant volume has no croppable structure")
-    threshold = np.percentile(data.astype(np.float64), params.crop_percentile)
+    threshold = _percentiles(data, (params.crop_percentile,))[0]
     bright = Mask(data >= threshold, volume.spacing)
     labels, sizes, inner = connected_components(bright)
     largest = Mask(labels == np.argmax(sizes[1:]) + 1, volume.spacing)

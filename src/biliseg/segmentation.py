@@ -186,16 +186,31 @@ def sauvola_threshold_field(slice_values: np.ndarray, k: float, R: float, window
         # edge padding repeats the table's border rows and columns, so each
         # clipped window corner is a shifted view of the padded table
         table = np.zeros((nx + 1, ny + 1))
-        table[1:, 1:] = values.cumsum(axis=0).cumsum(axis=1)
+        inner = table[1:, 1:]
+        np.cumsum(values, axis=0, out=inner)
+        np.cumsum(inner, axis=1, out=inner)
         t = np.pad(table, h, mode="edge")
-        return t[w:, w:] - t[:-w, w:] - t[w:, :-w] + t[:-w, :-w]
+        sums = t[w:, w:] - t[:-w, w:]
+        sums -= t[w:, :-w]
+        sums += t[:-w, :-w]
+        return sums
 
     spans = [np.minimum(np.arange(n) + h + 1, n) - np.maximum(np.arange(n) - h, 0) for n in (nx, ny)]
     count = np.outer(*spans)
-    m = window_sums(a) / count
-    var = np.maximum(window_sums(a * a) / count - m * m, 0.0)
-    s = np.sqrt(var)
-    return m * (1.0 + k * (s / R - 1.0))
+    # in place, in the operation order of m * (1 + k * (s / R - 1))
+    m = window_sums(a)
+    m /= count
+    field = window_sums(a * a)
+    field /= count
+    field -= m * m
+    np.maximum(field, 0.0, out=field)
+    np.sqrt(field, out=field)  # the window's std s
+    field /= R
+    field -= 1.0
+    field *= k
+    field += 1.0
+    field *= m
+    return field
 
 
 def region_grow(volume: Volume, cfg: RegionGrowConfig) -> GrownMask:

@@ -3,6 +3,7 @@ threshold and surface-mesh oracles."""
 from __future__ import annotations
 
 import struct
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -231,3 +232,15 @@ def random_mask(rng: np.random.Generator, dims, p: float = 0.35, nonempty: bool 
         m = rng.random(dims) < p
         if not nonempty or m.any():
             return m
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes that ``fn(*args)`` holds at once above what was live
+    before the call, as tracemalloc (which numpy reports to) sees it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()

@@ -170,6 +170,13 @@ class TestPhantomCommand:
         assert (hashlib.sha256((tmp_path / "far_t.nii").read_bytes()).hexdigest()
                 == "a9964e97e18472a8818a75f9bf82471feb0aa40740dea825ae9de6266a159be7")
 
+    def test_overflowing_noise_clamps_without_a_warning(self, tmp_path, capsys):
+        # noise_std * z is past the largest float wherever |z| > 1.8
+        assert self.run_demo_phantom(tmp_path, "loud", noise_std=1e308) == 0
+        assert capsys.readouterr().err == ""
+        values = read_nifti(tmp_path / "loud_v.nii").data
+        assert set(np.unique(values).tolist()) <= {0.0, 255.0}
+
     def test_tree_past_the_largest_float_exit_2(self, tmp_path, capsys):
         assert self.run_demo_phantom(tmp_path, "huge", segment_length=1e308) == 2
         assert capsys.readouterr().err.startswith("error: segment_length 1e+308 over 4 segments")
@@ -859,6 +866,21 @@ class TestPinnedOutputs:
         "- outliers: F(1, 2) = 0.2, p = 0.698489\n"
         "- false_communicating_IHDs: F(1, 2) = 1, p = 0.422650\n"
         "- false_non_communicating_IHDs: undefined (zero within-group variance)\n")
+
+    # SHA-256 of the demo phantom volume and of preprocess on it under
+    # configs/segment_demo.json's preprocess section, crop on and off; pinned
+    # so that a drift of one ulp in the render or the stretch fails
+    DEMO_VOLUME = "44a534ece7b400fa0128f1a35cdcb714f2ee6d5c12bda52211ca0996835a5508"
+    DEMO_PREPROCESS = {True: "ce33cfd981daba8cb2dbf632b14051cf1bad2b9117d2a4d6e1df503b43362655",
+                       False: "32aa451943ae26761863f770e007e9d1ad0588fec88464e90b5ce72b54c31125"}
+
+    def test_demo_image_bytes_are_pinned(self, tmp_path, demo_volume):
+        assert hashlib.sha256(demo_volume.read_bytes()).hexdigest() == self.DEMO_VOLUME
+        for crop, want in self.DEMO_PREPROCESS.items():
+            cfg = write_json(tmp_path / f"{crop}.json", dict(SEGMENT_DEMO["preprocess"], crop_enabled=crop))
+            out = tmp_path / f"{crop}.nii"
+            assert main(["preprocess", "--in", str(demo_volume), "--out", str(out), "--config", cfg]) == 0
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == want, crop
 
     def test_report_compare_and_crop_text_is_pinned(self, tmp_path, demo_volume):
         indented = lambda text: json.dumps(json.loads(text), indent=2) + "\n"  # noqa: E731

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from biliseg import (ConfigError, Connectivity, DegenerateInputError,
+from biliseg import (ConfigError, Connectivity, DegenerateInputError, Mask,
                      PhantomParams, Spacing, ThresholdConfig, TubeSegment,
                      connected_components, dice, dual_threshold, generate_tree,
                      hausdorff, rasterize_tree, render_intensities)
 from biliseg.phantom import MAX_SEGMENTS, MAX_VOXELS
+from conftest import traced_peak
 
 SP = Spacing(1.0, 1.0, 1.0)
 
@@ -216,6 +217,20 @@ class TestRender:
         truth = rasterize_tree(generate_tree(p), p.dims, p.spacing)
         vol = render_intensities(truth, p)
         assert vol.data.min() >= 0.0 and vol.data.max() <= 255.0
+
+    def test_overflowing_noise_clamps_to_the_range_ends(self):
+        # values past the float range are +-inf; a warning would fail the test
+        p = params(noise_std=1e308, rng_seed=4)
+        truth = rasterize_tree(generate_tree(p), p.dims, p.spacing)
+        vol = render_intensities(truth, p)
+        assert set(np.unique(vol.data).tolist()) == {0.0, 255.0}
+
+    def test_peak_memory_is_the_noise_and_the_output(self):
+        # float64 noise (2x the float32 grid) and the float32 result (1x);
+        # the guard catches another full-grid float64 temporary
+        p = params(dims=(64, 64, 32), noise_std=8.0, rng_seed=3)
+        truth = Mask(np.asfortranarray(np.random.default_rng(3).random(p.dims) < 0.2), p.spacing)
+        assert traced_peak(render_intensities, truth, p) <= 3.5 * 4 * truth.data.size
 
     def test_noise_changes_values_but_not_geometry(self):
         p = params(noise_std=5.0, rng_seed=31)

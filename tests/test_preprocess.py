@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from biliseg import (ConfigError, Connectivity, DegenerateInputError, Mask, PreprocessParams,
                      Spacing, Volume, dynamic_crop, embed_mask, percentile_stretch)
-from conftest import ordered_components
+from biliseg.preprocess import _percentiles
+from conftest import ordered_components, traced_peak
 
 SP = Spacing(1.0, 1.0, 1.0)
 
@@ -16,6 +19,44 @@ def percentile_oracle(values, q):
     hi = int(np.ceil(pos))
     frac = pos - lo
     return s[lo] * (1 - frac) + s[hi] * frac
+
+
+FLOAT32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def float32_volumes(draw):
+    """Finite float32 grids of 1-12 voxels a side, in C or F order: any
+    values, a few tied levels, or a near-constant run of adjacent floats."""
+    shape = draw(st.tuples(*[st.integers(1, 12)] * 3))
+    kind = draw(st.sampled_from(["any", "levels", "near-constant"]))
+    if kind == "any":
+        elements = FLOAT32
+    elif kind == "levels":
+        elements = st.sampled_from(draw(st.lists(FLOAT32, min_size=1, max_size=3)))
+    else:
+        near = [np.float32(draw(FLOAT32))]
+        near += [np.nextafter(near[-1], np.float32(0)) for _ in range(2)]
+        elements = st.sampled_from([float(v) for v in near])
+    data = draw(hnp.arrays(np.float32, shape, elements=elements))
+    return np.asarray(data, order=draw(st.sampled_from("CF")))
+
+
+PERCENTS = st.one_of(st.sampled_from([0, 100, 0.0, 100.0]), st.integers(0, 100), st.floats(0, 100))
+
+
+class TestPercentiles:
+    @settings(max_examples=300, deadline=None)
+    @given(data=float32_volumes(), qs=st.lists(PERCENTS, min_size=1, max_size=2))
+    def test_equals_numpy_on_the_float64_copy(self, data, qs):
+        want = np.percentile(data.astype(np.float64), qs)
+        got = _percentiles(data, qs)
+        assert got.dtype == np.float64 and np.array_equal(got, want)
+        zeros = np.signbit(data[data == 0])
+        if not (zeros.any() and not zeros.all()):
+            # with +0.0 and -0.0 both in the data, numpy leaves their order
+            # after its partition unspecified, and so the sign of a zero result
+            assert got.tobytes() == want.tobytes()
 
 
 class TestParams:
@@ -79,6 +120,22 @@ class TestPercentileStretch:
         data = rng.normal(50, 40, (8, 8, 2)).astype(np.float32)
         out = percentile_stretch(Volume(data, SP))
         assert out.data.min() >= 0.0 and out.data.max() <= 255.0
+
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_bytes_and_layout_follow_the_input(self, order):
+        rng = np.random.default_rng(14)
+        data = np.asarray(rng.normal(50, 40, (9, 7, 5)).astype(np.float32), order=order)
+        out = percentile_stretch(Volume(data, SP), PreprocessParams(p_low=2.5, p_high=97))
+        assert out.data.flags[{"C": "C_CONTIGUOUS", "F": "F_CONTIGUOUS"}[order]]
+        lo, hi = np.percentile(data.astype(np.float64), (2.5, 97))
+        want = (np.clip((data.astype(np.float64) - lo) / (hi - lo), 0.0, 1.0) * 255.0).astype(np.float32)
+        assert out.data.dtype == np.float32 and out.data.tobytes("A") == want.tobytes("A")
+
+    def test_peak_memory_is_the_float32_copy_and_the_output(self):
+        # a float64 copy of the grid alone would be 2x; the guard is 2.5x
+        data = np.asfortranarray(np.random.default_rng(15).normal(50, 40, (64, 64, 32)).astype(np.float32))
+        assert traced_peak(percentile_stretch, Volume(data, SP)) <= 2.5 * data.nbytes
 
 
 class TestDynamicCrop:
