@@ -41,7 +41,7 @@ class PreprocessParams:
 
 def _percentiles(data: np.ndarray, qs) -> np.ndarray:
     """``np.percentile(data.astype(np.float64), qs)``, bit for bit, from one
-    partition of a float32 copy instead of a float64 copy of the grid.
+    in-place sort of a float32 copy instead of a float64 copy of the grid.
 
     The order statistics of float32 data are float32 values. Between them
     numpy's linear method interpolates in float64: virtual index
@@ -49,21 +49,20 @@ def _percentiles(data: np.ndarray, qs) -> np.ndarray:
     ``g = v - floor(v)``, and ``a + (b - a) * g``, or ``b - (b - a) * (1 - g)``
     where ``g >= 0.5``. At ``v >= n - 1`` numpy takes the last statistic
     twice, indexed as -1, so its ``g`` is ``v + 1``; that ``g`` decides the
-    sign of a zero result, so it is kept here. Only where the data holds both
-    +0.0 and -0.0 can the sign of a zero result differ: their order after a
-    partition is left open, in numpy's as in this one.
+    sign of a zero result, so it is kept here. One sort puts every order
+    statistic in place, and is faster than a partition at several of them.
+    Only where the data holds both +0.0 and -0.0 can the sign of a zero
+    result differ: the two compare equal, so neither numpy's partition nor
+    this sort fixes their order.
     """
     flat = np.array(data, dtype=np.float32).ravel(order="K")  # a view of the copy
+    flat.sort()
     n = flat.size
-    spots = []
+    values = []
     for q in qs:
         v = (n - 1) * (q / 100)
         i = min(math.floor(v), n - 1)
-        spots.append((v, i, min(i + 1, n - 1)))
-    flat.partition(sorted({k for _, i, j in spots for k in (i, j)}))
-    values = []
-    for v, i, j in spots:
-        a, b = float(flat[i]), float(flat[j])
+        a, b = float(flat[i]), float(flat[min(i + 1, n - 1)])
         g = v + 1 if v >= n - 1 else v - i
         values.append(b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g)
     return np.array(values)
@@ -74,8 +73,9 @@ def percentile_stretch(volume: Volume, params: PreprocessParams | None = None) -
     ``p_low``/``p_high`` percentiles (linear interpolation of order
     statistics). Volumes with no spread map to all zeros.
 
-    The result is float32 in the input's memory layout. The map runs in
-    float64 on one slab at a time, so no float64 copy of the grid is made.
+    The percentiles come from one in-place sort of a float32 copy. The
+    result is float32 in the input's memory layout. The map runs in float64
+    on one slab at a time, so no float64 copy of the grid is made.
     Slabs run along the axis slowest in memory, so each is contiguous:
     z-slabs of the x-fastest (F) layout that ``read_nifti`` gives, x-slabs
     of C order.

@@ -149,11 +149,16 @@ def grow_from_seed(allowed: np.ndarray, seed: SeedPoint, structure: np.ndarray) 
     symmetric under negation, so reachability is symmetric and the reachable
     set is exactly the seed's connected component of ``allowed | {seed}``; it
     comes from one ``scipy.ndimage.label`` call and depends on no traversal
-    order.
+    order. The labeling runs in the memory order of ``allowed``, on the
+    transpose of an x-fastest (F-ordered) map with ``structure.T``, and the
+    result is in that layout.
     """
     region = np.array(allowed, dtype=bool)
     region[seed] = True
-    labels, _ = ndimage.label(region, structure=structure)
+    # C order over the (z, y, x) transpose of an x-fastest map is its memory order
+    axes = (2, 1, 0) if region.flags.f_contiguous else (0, 1, 2)
+    labels, _ = ndimage.label(region.transpose(axes), structure=structure.transpose(axes))
+    labels = labels.transpose(axes)
     return labels == labels[seed]
 
 
@@ -176,20 +181,25 @@ def sauvola_threshold_field(slice_values: np.ndarray, k: float, R: float, window
     deviation over the ``window`` x ``window`` window centered on the pixel.
     Window sums come from summed-area tables; border windows are clipped, and
     each pixel's mean/std covers exactly the in-bounds part of its window.
+    The work runs on a C-ordered float64 copy of the slice, whatever its
+    layout, and the result is C-ordered.
     """
-    a = np.asarray(slice_values, dtype=np.float64)
+    a = np.array(slice_values, dtype=np.float64, order="C")
     nx, ny = a.shape
     h = min(window // 2, max(nx, ny))  # any wider window covers the whole slice alike
     w = 2 * h + 1
+    # the summed-area table, edge-padded by h on every side: its zero first
+    # row and column fill the top and left pads, its last row and column are
+    # repeated into the bottom and right ones, so each clipped window corner
+    # is a shifted view of it
+    t = np.zeros((nx + w, ny + w))
+    inner = t[h + 1:h + 1 + nx, h + 1:h + 1 + ny]
 
     def window_sums(values):
-        # edge padding repeats the table's border rows and columns, so each
-        # clipped window corner is a shifted view of the padded table
-        table = np.zeros((nx + 1, ny + 1))
-        inner = table[1:, 1:]
         np.cumsum(values, axis=0, out=inner)
         np.cumsum(inner, axis=1, out=inner)
-        t = np.pad(table, h, mode="edge")
+        t[h + 1:h + 1 + nx, h + 1 + ny:] = inner[:, -1:]
+        t[h + 1 + nx:] = t[h + nx]
         sums = t[w:, w:] - t[:-w, w:]
         sums -= t[w:, :-w]
         sums += t[:-w, :-w]
@@ -200,7 +210,7 @@ def sauvola_threshold_field(slice_values: np.ndarray, k: float, R: float, window
     # in place, in the operation order of m * (1 + k * (s / R - 1))
     m = window_sums(a)
     m /= count
-    field = window_sums(a * a)
+    field = window_sums(np.multiply(a, a, out=a))
     field /= count
     field -= m * m
     np.maximum(field, 0.0, out=field)
@@ -220,13 +230,18 @@ def region_grow(volume: Volume, cfg: RegionGrowConfig) -> GrownMask:
     first); the default scale R = 100 presumes that range. The seed is always
     part of the result even if it misses its own threshold, so a user-chosen
     seed never yields an empty mask.
+
+    The predicate map, the growth labels and the grown mask are all in the
+    volume's memory layout: x-fastest for a volume from ``read_nifti``, so
+    each slice's predicate is a contiguous write and ``write_nifti`` stores
+    the mask without a transposing copy.
     """
     seed = require_in_bounds(cfg.seed, volume.dims)
     data = volume.data
     if float(data.min()) < 0.0 or float(data.max()) > 255.0:
         raise ConfigError("region growing expects intensities in [0, 255]; normalize first")
 
-    allowed = np.empty(volume.dims, dtype=bool)
+    allowed = np.empty_like(data, dtype=bool)  # in the data's layout, so each slice is contiguous
     for z in range(volume.dims[2]):
         field_z = sauvola_threshold_field(data[:, :, z], cfg.k, cfg.R, cfg.window)
         np.greater_equal(data[:, :, z], field_z, out=allowed[:, :, z])
@@ -240,7 +255,8 @@ def region_grow(volume: Volume, cfg: RegionGrowConfig) -> GrownMask:
 def postprocess(mask: Mask, policies) -> Mask:
     """Apply component-filtering policies in order to the mask's 26-connected
     components. The result is always a subset of the input mask, in the
-    input's memory layout.
+    input's memory layout; when no policy drops a component it is the input
+    itself, so a ``GrownMask`` stays one.
 
     Every policy keeps or drops whole components, so one labeling of the
     foreground box and a shrinking ``keep`` vector give the mask that
@@ -267,6 +283,8 @@ def postprocess(mask: Mask, policies) -> Mask:
             keep[hit] = True
         else:
             raise ConfigError(f"unknown post-processing policy {policy!r}")
+    if keep[1:].all():  # every component stays: the input is the result, of its own type
+        return mask
     out = np.zeros_like(mask.data)
     # fancy indexing gathers through the integer labels; np.take would copy them to intp
     out[box.slices()] = keep[labels]

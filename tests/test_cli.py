@@ -882,6 +882,27 @@ class TestPinnedOutputs:
             assert main(["preprocess", "--in", str(demo_volume), "--out", str(out), "--config", cfg]) == 0
             assert hashlib.sha256(out.read_bytes()).hexdigest() == want, crop
 
+    # SHA-256 of the mask region growing writes when it leaks: a small phantom
+    # under the default preprocess floods 62.5% of its 40x48x14 grid from
+    # this seed; pinned so that any change in the predicate map, the growth
+    # labels or the mask write of a flooding growth fails
+    FLOODED = dict(PHANTOM, dims=[40, 48, 14], root=[20.0, 24.0, -2.0], root_direction=[0.05, 0.02, 1.0],
+                   segment_length=8.0, branch_probability=0.4, branch_angle=25.0, max_depth=2,
+                   noise_std=8.0, rng_seed=1)
+    FLOODED_MASK = "4aaf0186721ee7f2db760a4d354b87d84dfb72a79a004bee46ecc8f07e5f3c2d"
+
+    def test_flooded_regiongrow_mask_bytes_are_pinned(self, tmp_path, capsys):
+        vol = tmp_path / "vol.nii"
+        assert main(["phantom", "--config", write_json(tmp_path / "p.json", self.FLOODED),
+                     "--out-volume", str(vol), "--out-truth", str(tmp_path / "truth.nii")]) == 0
+        cfg = write_json(tmp_path / "s.json", {"method": "regiongrow", "regiongrow": {"seed": [20, 24, 5]},
+                                               "postprocess": [{"policy": "keep_largest"}]})
+        capsys.readouterr()
+        out = tmp_path / "m.nii"
+        assert main(["segment", "--in", str(vol), "--out", str(out), "--config", cfg]) == 0
+        assert capsys.readouterr().err.startswith("warning: regiongrow reached 62.5% of the input grid")
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.FLOODED_MASK
+
     def test_report_compare_and_crop_text_is_pinned(self, tmp_path, demo_volume):
         indented = lambda text: json.dumps(json.loads(text), indent=2) + "\n"  # noqa: E731
         pre = write_json(tmp_path / "pre.json", SEGMENT_DEMO["preprocess"])

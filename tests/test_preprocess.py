@@ -54,8 +54,9 @@ class TestPercentiles:
         assert got.dtype == np.float64 and np.array_equal(got, want)
         zeros = np.signbit(data[data == 0])
         if not (zeros.any() and not zeros.all()):
-            # with +0.0 and -0.0 both in the data, numpy leaves their order
-            # after its partition unspecified, and so the sign of a zero result
+            # with +0.0 and -0.0 both in the data, the two compare equal, so
+            # their order after the sort (as after numpy's partition) is
+            # unspecified, and so is the sign of a zero result
             assert got.tobytes() == want.tobytes()
 
 

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from biliseg import (BoundsError, ConfigError, Connectivity, DegenerateInputError,
-                     FloodFillConfig, KeepLargest, KeepSeeded, Mask, MinSize,
-                     RegionGrowConfig, Spacing, ThresholdConfig, Volume,
-                     dual_threshold, flood_fill, postprocess, region_grow, sauvola_threshold_field)
+                     FloodFillConfig, KeepLargest, KeepSeeded, Mask, MinSize, PreprocessParams,
+                     RegionGrowConfig, Spacing, ThresholdConfig, Volume, dual_threshold,
+                     dynamic_crop, flood_fill, percentile_stretch, postprocess, region_grow,
+                     sauvola_threshold_field)
 from biliseg.phantom import PhantomParams, TubeSegment, rasterize_tree, render_intensities
 from biliseg.core import BBox, GrownMask, connected_components
 from biliseg.preprocess import embed_mask
@@ -149,11 +150,13 @@ class TestGrowFromSeed:
     @given(growth_cases())
     def test_matches_bfs_reachability(self, case):
         allowed, seed, structure, offsets = case
-        before = allowed.copy()
-        got = grow_from_seed(allowed, seed, structure)
-        assert got.dtype == bool and got.shape == allowed.shape
-        assert {tuple(p) for p in np.argwhere(got)} == reachable_bfs(allowed, seed, offsets)
-        assert (allowed == before).all()  # the input map is left untouched
+        want = reachable_bfs(allowed, seed, offsets)
+        for layout in (allowed, np.asfortranarray(allowed)):  # labeled in each one's memory order
+            before = layout.copy()
+            got = grow_from_seed(layout, seed, structure)
+            assert got.dtype == bool and got.shape == allowed.shape
+            assert {tuple(p) for p in np.argwhere(got)} == want
+            assert (layout == before).all()  # the input map is left untouched
 
 
 class TestSauvola:
@@ -296,6 +299,30 @@ class TestRegionGrow:
                 got = region_grow(vol(data), cfg)
                 want = _region_grow_reference(data, seed, 0.3, 100.0, 3, propagate, conn)
                 assert (got.data == want).all()
+
+    def test_same_mask_bytes_in_every_layout(self):
+        # C, F (as read_nifti gives) and a cropped F view (as dynamic_crop
+        # gives) of one volume grow the same mask, in the input's own layout
+        rng = np.random.default_rng(27)
+        data = rng.uniform(0, 60, (14, 11, 6)).astype(np.float32)
+        data[4:10, 3:8, 1:5] += 150.0  # a bright block for the crop to find
+        stretched = percentile_stretch(Volume(np.asfortranarray(data), SP))
+        cropped, _ = dynamic_crop(stretched, PreprocessParams(crop_percentile=80.0, crop_margin=1))
+        assert not cropped.data.flags.f_contiguous and cropped.dims != stretched.dims
+        for volume in (stretched, cropped):
+            seed = np.unravel_index(np.argmax(volume.data), volume.dims)
+            for grow, cfg in ((region_grow, RegionGrowConfig(seed=seed)),
+                              (region_grow, RegionGrowConfig(seed=seed, in_slice_connectivity=Connectivity.VERTEX8,
+                                                             propagate_slices=False)),
+                              (flood_fill, FloodFillConfig(seed=seed, tolerance=60.0)),
+                              (flood_fill, FloodFillConfig(seed=seed, tolerance=60.0,
+                                                           connectivity=Connectivity.VERTEX26))):
+                want = grow(Volume(np.ascontiguousarray(volume.data), SP), cfg).data
+                assert want.flags.c_contiguous
+                got = grow(volume, cfg).data
+                assert got.flags.f_contiguous
+                assert got.tobytes() == want.tobytes(), (grow, cfg)
+                assert 1 < np.count_nonzero(got) < got.size, (grow, cfg)
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -446,6 +473,15 @@ class TestPostprocess:
     def test_empty_policy_list_is_identity(self):
         m = self.make_components()
         assert (postprocess(m, []).data == m.data).all()
+
+    def test_input_returned_when_no_component_is_dropped(self):
+        m = self.make_components()
+        assert postprocess(m, [MinSize(3)]) is m
+        assert postprocess(m, [MinSize(3), KeepLargest()]) is not m
+        volume, _, seed = straight_tube_case()
+        grown = region_grow(volume, RegionGrowConfig(seed=seed))
+        for policies in ([KeepLargest()], [KeepSeeded(seeds=(seed,))], [MinSize(grown.count())]):
+            assert postprocess(grown, policies) is grown  # still a GrownMask, so it needs no labeling
 
     def test_min_size_above_every_component_then_keep_largest_is_empty(self):
         out = postprocess(self.make_components(), [MinSize(101), KeepLargest()])
