@@ -10,7 +10,9 @@ Conventions used throughout the package:
   from ``scipy.ndimage.generate_binary_structure``; labeling and the seeded
   growth engine both take that element,
 * component labels cover the foreground box only and number the components
-  in the x-fastest order of their first voxel (``connected_components``).
+  in the x-fastest order of their first voxel (``connected_components``); a
+  grown mask under VERTEX26, and one FACE6 component under EDGE18 or
+  VERTEX26, are one component and their own labeling.
 """
 from __future__ import annotations
 
@@ -172,17 +174,67 @@ def connected_components(mask: Mask, connectivity: Connectivity = Connectivity.V
     background, components 1..k in the x-fastest order of their first voxel.
     Cropping to the box changes neither the components nor that order.
     ``sizes[i]`` is the voxel count of label ``i``; ``sizes[0]`` counts the
-    background inside the box. A ``GrownMask``'s VERTEX26 labels are its box.
+    background inside the box.
+
+    A mask that is one component needs no labeling: its labels are its box
+    viewed as uint8. That holds for a ``GrownMask`` under VERTEX26, and for
+    any mask under EDGE18 or VERTEX26 that is one FACE6 component, since
+    FACE6 steps are steps of both. ``_one_face6_component`` decides the
+    latter; every other mask is labeled under ``connectivity``.
     """
-    if isinstance(mask, GrownMask) and connectivity == Connectivity.VERTEX26:
-        box = bbox_of(mask)
-        labels = mask.data[box.slices()].view(np.uint8)
+    if not mask.data.any():
+        return (np.zeros(mask.dims, dtype=np.int32), np.array([mask.data.size]),
+                BBox((0, 0, 0), tuple(n - 1 for n in mask.dims)))
+    box = bbox_of(mask)
+    crop = mask.data[box.slices()]
+    if ((isinstance(mask, GrownMask) and connectivity == Connectivity.VERTEX26)
+            or (connectivity in (Connectivity.EDGE18, Connectivity.VERTEX26) and _one_face6_component(crop))):
+        labels = crop.view(np.uint8)
         n = np.count_nonzero(labels)
         return labels, np.array([labels.size - n, n]), box
-    box = bbox_of(mask) if mask.data.any() else BBox((0, 0, 0), tuple(n - 1 for n in mask.dims))
     # C order over the (z, y, x) transpose is the x-fastest order
-    raw, _ = ndimage.label(mask.data[box.slices()].T, structure=connectivity.structure().T)
+    raw, _ = ndimage.label(crop.T, structure=connectivity.structure().T)
     return raw.T, np.bincount(raw.ravel()), box
+
+
+# voxels per slab of the isolated-voxel scan, about one plane of a 128x128x48 grid,
+# so a noisy mask is rejected after a small fraction of its box
+_SLAB_VOXELS = 1 << 14
+
+
+def _one_face6_component(crop: np.ndarray) -> bool:
+    """Whether the foreground of ``crop``, a nonempty mask's foreground box,
+    is one FACE6 component.
+
+    A foreground voxel with no FACE6 neighbour is a component of its own, so
+    a box that holds more than that voxel holds several. The scan for such a
+    voxel runs in slabs along the axis slowest in memory and stops at the
+    first slab that has one, so most noisy masks are rejected without a
+    labeling pass. Only a mask without one gets a FACE6 labeling.
+    """
+    if crop.size == 1:
+        return True
+    a = crop.T if crop.strides[0] < crop.strides[2] else crop  # axis 0 slowest in memory
+    n = a.shape[0]
+    step = max(1, _SLAB_VOXELS // (a.shape[1] * a.shape[2]))
+    for i in range(0, n, step):
+        j = min(i + step, n)
+        slab = a[i:j]
+        near = np.zeros_like(slab)  # some FACE6 neighbour is foreground
+        near[1:] |= slab[:-1]
+        near[:-1] |= slab[1:]
+        near[:, 1:] |= slab[:, :-1]
+        near[:, :-1] |= slab[:, 1:]
+        near[:, :, 1:] |= slab[:, :, :-1]
+        near[:, :, :-1] |= slab[:, :, 1:]
+        if i > 0:
+            near[0] |= a[i - 1]
+        if j < n:
+            near[-1] |= a[j]
+        if (slab > near).any():  # a foreground voxel without a foreground neighbour
+            return False
+    _, count = ndimage.label(a, structure=Connectivity.FACE6.structure())
+    return count == 1
 
 
 def bbox_of(mask: Mask, margin: int = 0) -> BBox:

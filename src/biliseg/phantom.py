@@ -70,6 +70,8 @@ class PhantomParams:
             raise ConfigError(f"branch_probability must be in [0, 1], got {self.branch_probability}")
         if self.branch_angle < 0:
             raise ConfigError(f"branch_angle must be >= 0 degrees, got {self.branch_angle}")
+        # -0.0 passes the check, but as the upper bound of rng.uniform(0.0, .) it is below 0.0
+        object.__setattr__(self, "branch_angle", abs(self.branch_angle))
         if self.max_depth < 0:
             raise ConfigError(f"max_depth must be >= 0, got {self.max_depth}")
         if self.rng_seed < 0:

@@ -114,11 +114,14 @@ def dynamic_crop(volume: Volume, params: PreprocessParams) -> tuple[Volume, BBox
 
 
 def embed_mask(mask: Mask, box: BBox, full_dims: tuple[int, int, int]) -> Mask:
-    """Place a mask produced inside ``box`` back onto the full grid, as the same mask type."""
+    """Place a mask produced inside ``box`` back onto the full grid, as the
+    same mask type and, when the mask is x-fastest (F-contiguous and not C),
+    in that layout, so writing it out needs no transposing copy."""
     if mask.dims != box.shape():
         raise GeometryError(f"mask dims {mask.dims} do not match box shape {box.shape()}")
     if any(h >= n for h, n in zip(box.hi, full_dims)):
         raise GeometryError(f"box {box} does not fit into grid dims {full_dims}")
-    full = np.zeros(full_dims, dtype=bool)
+    flags = mask.data.flags
+    full = np.zeros(full_dims, dtype=bool, order="F" if flags.f_contiguous and not flags.c_contiguous else "C")
     full[box.slices()] = mask.data
     return type(mask)(full, mask.spacing)

@@ -215,7 +215,8 @@ def sauvola_threshold_field(slice_values: np.ndarray, k: float, R: float, window
     field -= m * m
     np.maximum(field, 0.0, out=field)
     np.sqrt(field, out=field)  # the window's std s
-    field /= R
+    with np.errstate(over="ignore"):  # a subnormal R: s / R is inf, and so is the threshold
+        field /= R
     field -= 1.0
     field *= k
     field += 1.0

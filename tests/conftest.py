@@ -234,6 +234,24 @@ def random_mask(rng: np.random.Generator, dims, p: float = 0.35, nonempty: bool 
             return m
 
 
+def face6_blob(rng: np.random.Generator, dims, size: int) -> np.ndarray:
+    """A random FACE6-connected mask of up to ``size`` voxels: each voxel
+    after the first is a face neighbour of an earlier one."""
+    out = np.zeros(dims, dtype=bool)
+    cells = [tuple(int(rng.integers(n)) for n in dims)]
+    out[cells[0]] = True
+    steps = neighbor_offsets(6)
+    for _ in range(8 * size):
+        if len(cells) == size:
+            break
+        step = steps[int(rng.integers(len(steps)))]
+        p = tuple(c + d for c, d in zip(cells[int(rng.integers(len(cells)))], step))
+        if all(0 <= c < n for c, n in zip(p, dims)) and not out[p]:
+            out[p] = True
+            cells.append(p)
+    return out
+
+
 def traced_peak(fn, *args) -> int:
     """Peak bytes that ``fn(*args)`` holds at once above what was live
     before the call, as tracemalloc (which numpy reports to) sees it."""

@@ -1041,6 +1041,7 @@ class TestConfigSurface:
     @given(path=st.sampled_from(sorted(value_paths(SEGMENT_DEMO), key=str)),
            method=st.sampled_from(SEGMENT_METHODS), value=JSON_VALUES)
     @example(path=("regiongrow", "window"), method="regiongrow", value=10**30 + 1)
+    @example(path=("regiongrow", "R"), method="regiongrow", value=5e-324)  # s / R overflows to inf
     def test_any_segment_value_exits_cleanly(self, demo_volume, scratch_dir, path, method, value):
         doc = replaced(dict(SEGMENT_DEMO, method=method), path, value)
         if path[0] in SEGMENT_METHODS:
@@ -1062,6 +1063,19 @@ class TestConfigSurface:
                                  "--out-truth", str(scratch_dir / "t.nii")])
         assert code == 2 and err.startswith("error: ")
         assert not volume.exists()
+
+    # every float field of the demo phantom, one at a time, at a value of either sign
+    @settings(max_examples=40, deadline=None)
+    @given(st.tuples(st.sampled_from(sorted(k for k, v in PHANTOM_DEMO.items() if type(v) is float)),
+                     st.floats(-1e3, 1e3)))
+    @example(("branch_angle", -0.0))  # passes the >= 0 check, then bounds rng.uniform(0.0, -0.0)
+    def test_any_phantom_float_exits_cleanly(self, scratch_dir, edit):
+        key, value = edit
+        code, err = run_quietly(["phantom", "--config", write_json(scratch_dir / "phantom.json",
+                                                                   dict(PHANTOM_DEMO, **{key: value})),
+                                 "--out-volume", str(scratch_dir / "v.nii"), "--out-truth", str(scratch_dir / "t.nii")])
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in err
 
     # in-range sizes: small ones run, and ones past a cap exit 2 before
     # anything is allocated (the draws skip sizes under the caps that are

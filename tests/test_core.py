@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from biliseg import (BBox, ConfigError, Connectivity, DegenerateInputError, GeometryError, Mask,
                      Spacing, Volume, bbox_of, connected_components)
-from conftest import (neighbor_offsets, ordered_components, place_in_grid, random_mask,
+from conftest import (face6_blob, neighbor_offsets, ordered_components, place_in_grid, random_mask,
                       union_find_components)
 
 SP = Spacing(1.0, 1.0, 1.0)
@@ -102,10 +103,23 @@ class TestConnectedComponents:
             # the drawn grid, which its foreground nearly always spans, and the
             # same mask as a strict sub-box of a larger empty grid
             grids += [drawn, place_in_grid(rng, drawn, (9, 9, 5))]
+        # one FACE6 component each, which EDGE18 and VERTEX26 label without a pass
+        for _ in range(30):
+            blob = face6_blob(rng, (6, 6, 3), int(rng.integers(1, 60)))
+            grids += [blob, place_in_grid(rng, blob, (9, 9, 5))]
+        # 2-voxel bars: every voxel has a FACE6 neighbour, yet FACE6 finds two
+        # components; touching along an edge, EDGE18 and VERTEX26 find one,
+        # a voxel apart, two
+        touching, apart = np.zeros((2, 2, 2), bool), np.zeros((2, 3, 3), bool)
+        touching[:, 0, 0] = touching[:, 1, 1] = True
+        apart[:, 0, 0] = apart[:, 2, 2] = True
+        grids += [touching, place_in_grid(rng, touching, (9, 9, 5)), apart, place_in_grid(rng, apart, (9, 9, 5))]
         for c_order in grids:
             expected = union_find_components(c_order, offsets)
             want, k = ordered_components(c_order, conn)
-            for data in (c_order, np.asfortranarray(c_order)):
+            strided = np.zeros(tuple(2 * n for n in c_order.shape), bool)[::2, ::-2, ::2]
+            strided[...] = c_order
+            for data in (c_order, np.asfortranarray(c_order), strided):
                 mask = Mask(data, SP)
                 labels, sizes, box = connected_components(mask, conn)
                 assert box == (bbox_of(mask) if data.any() else BBox((0, 0, 0), tuple(n - 1 for n in data.shape)))
@@ -125,6 +139,35 @@ class TestConnectedComponents:
                 by_size = np.zeros(k + 1, dtype=np.int32)
                 by_size[np.argsort(-sizes[1:], kind="stable") + 1] = np.arange(1, k + 1)
                 assert np.array_equal(by_size[full], want)
+
+    def test_one_labeling_per_mask(self, monkeypatch):
+        # the neighbour count of each structure ndimage.label is called with
+        calls = []
+        label = ndimage.label
+
+        def spy(data, structure):
+            calls.append(int(np.count_nonzero(structure)) - 1)
+            return label(data, structure=structure)
+
+        monkeypatch.setattr(ndimage, "label", spy)
+        # a noisy band has voxels without a FACE6 neighbour: straight to VERTEX26
+        band = np.random.default_rng(3).random((24, 20, 8))
+        _, sizes, _ = connected_components(Mask((band > 0.4) & (band < 0.7), SP))
+        assert calls == [26] and len(sizes) > 2
+        # one FACE6 component: one FACE6 labeling proves it, no VERTEX26 pass.
+        # A full 128x128 plane pierced by a spur: the spur's end voxels have
+        # their one FACE6 neighbour in the plane before or after theirs, which
+        # the scan may hold in another slab
+        comb = np.zeros((5, 128, 128), bool)
+        comb[2] = comb[:, 5, 7] = True
+        blob = face6_blob(np.random.default_rng(4), (12, 10, 6), 200)
+        for data in (comb, np.asfortranarray(comb.T), blob):
+            calls.clear()
+            mask = Mask(data, SP)
+            labels, sizes, box = connected_components(mask)
+            assert calls == [6]
+            assert list(sizes) == [labels.size - mask.count(), mask.count()]
+            assert labels.dtype == np.uint8 and np.array_equal(labels, data[box.slices()])
 
 
 class TestBBox:

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from biliseg import (ConfigError, Connectivity, DegenerateInputError, Mask, PreprocessParams,
-                     Spacing, Volume, dynamic_crop, embed_mask, percentile_stretch)
+from biliseg import (BBox, ConfigError, Connectivity, DegenerateInputError, GeometryError, Mask,
+                     PreprocessParams, Spacing, Volume, dynamic_crop, embed_mask, percentile_stretch)
 from biliseg.preprocess import _percentiles
 from conftest import ordered_components, traced_peak
 
@@ -211,8 +211,16 @@ class TestEmbedMask:
         full = embed_mask(local, box, vol.dims)
         assert (full.data == (data > 40.0)).all()
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_keeps_the_layout_of_the_mask(self, order):
+        local = Mask(np.asarray(np.random.default_rng(2).random((5, 4, 3)) < 0.5, order=order), SP)
+        box = BBox((2, 1, 3), (6, 4, 5))
+        full = embed_mask(local, box, (9, 8, 7))
+        assert full.data.flags.f_contiguous == (order == "F")
+        assert full.data.flags.c_contiguous == (order == "C")
+        assert np.array_equal(full.data[box.slices()], local.data) and full.count() == local.count()
+
     def test_dims_must_match_box(self):
         local = Mask(np.ones((3, 3, 3), bool), SP)
-        from biliseg import BBox, GeometryError
         with pytest.raises(GeometryError):
             embed_mask(local, BBox((0, 0, 0), (1, 1, 1)), (10, 10, 10))
