@@ -12,7 +12,8 @@ Conventions used throughout the package:
 * component labels cover the foreground box only and number the components
   in the x-fastest order of their first voxel (``connected_components``); a
   grown mask under VERTEX26, and one FACE6 component under EDGE18 or
-  VERTEX26, are one component and their own labeling.
+  VERTEX26, are one component and their own labeling,
+* the foreground box (``bbox_of``) is read in the grid's memory order.
 """
 from __future__ import annotations
 
@@ -123,7 +124,8 @@ class Mask:
 @dataclass(frozen=True, eq=False)
 class GrownMask(Mask):
     """A mask that is one nonempty VERTEX26 component, as the seeded methods
-    grow it: ``connected_components`` labels it without a labeling pass."""
+    grow it and as ``postprocess`` returns a lone surviving component:
+    ``connected_components`` labels it without a labeling pass."""
 
 
 @dataclass(frozen=True)
@@ -239,15 +241,23 @@ def _one_face6_component(crop: np.ndarray) -> bool:
 
 def bbox_of(mask: Mask, margin: int = 0) -> BBox:
     """Smallest box containing all foreground, expanded by ``margin`` voxels
-    and clamped to the grid."""
+    and clamped to the grid.
+
+    The grid is read in memory order, in about two passes: one projection
+    along the axis slowest in memory gives the plane of the two faster axes,
+    whose ranges come from that small plane, and one reduction over the
+    faster axes gives the slow axis's range.
+    """
     if margin < 0:
         raise ConfigError(f"margin must be >= 0, got {margin}")
-    if not mask.data.any():
+    perm = np.argsort([-abs(s) for s in mask.data.strides], kind="stable")
+    a = mask.data.transpose(perm)  # axis 0 slowest in memory
+    plane = a.any(axis=0)
+    if not plane.any():
         raise DegenerateInputError("cannot compute the bounding box of an empty mask")
-    lo, hi = [], []
-    for axis in range(3):
-        other = tuple(a for a in range(3) if a != axis)
-        occupied = np.flatnonzero(mask.data.any(axis=other))
-        lo.append(max(int(occupied[0]) - margin, 0))
-        hi.append(min(int(occupied[-1]) + margin, mask.dims[axis] - 1))
+    lo, hi = [0] * 3, [0] * 3
+    for axis, occupied in zip(perm, (a.any(axis=(1, 2)), plane.any(axis=1), plane.any(axis=0))):
+        occupied = np.flatnonzero(occupied)
+        lo[axis] = max(int(occupied[0]) - margin, 0)
+        hi[axis] = min(int(occupied[-1]) + margin, mask.dims[axis] - 1)
     return BBox(tuple(lo), tuple(hi))

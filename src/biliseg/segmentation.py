@@ -8,6 +8,7 @@ acceptance predicate: the seed's connected component under the method's
 steps, found by one connected-component labeling call, so it does not depend
 on any traversal order. Each step lies in the 3x3x3 cube, so the result is
 one VERTEX26 component: a ``GrownMask``, which ``postprocess`` need not label.
+``postprocess`` returns a lone surviving component as a ``GrownMask`` too.
 """
 from __future__ import annotations
 
@@ -128,15 +129,21 @@ PostprocessPolicy = KeepLargest | KeepSeeded | MinSize
 
 def dual_threshold(volume: Volume, cfg: ThresholdConfig) -> Mask:
     """Voxel is foreground iff t_min < intensity <= t_max (per-slice pairs
-    where an override exists)."""
+    where an override exists).
+
+    Each bound is cast to the float32 data's type. A bound beyond float32's
+    range casts to +-inf, which compares against finite data exactly as the
+    float64 bound would, so the cast's overflow warning is silenced.
+    """
     data = volume.data
-    out = (data > cfg.t_min) & (data <= cfg.t_max)
-    if cfg.per_slice_overrides:
-        nz = volume.dims[2]
-        for z, (lo, hi) in sorted(cfg.per_slice_overrides.items()):
-            if not 0 <= z < nz:
-                raise ConfigError(f"per-slice override references slice {z}, volume has {nz} slices")
-            out[:, :, z] = (data[:, :, z] > lo) & (data[:, :, z] <= hi)
+    with np.errstate(over="ignore"):
+        out = (data > cfg.t_min) & (data <= cfg.t_max)
+        if cfg.per_slice_overrides:
+            nz = volume.dims[2]
+            for z, (lo, hi) in sorted(cfg.per_slice_overrides.items()):
+                if not 0 <= z < nz:
+                    raise ConfigError(f"per-slice override references slice {z}, volume has {nz} slices")
+                out[:, :, z] = (data[:, :, z] > lo) & (data[:, :, z] <= hi)
     return Mask(out, volume.spacing)
 
 
@@ -257,7 +264,10 @@ def postprocess(mask: Mask, policies) -> Mask:
     """Apply component-filtering policies in order to the mask's 26-connected
     components. The result is always a subset of the input mask, in the
     input's memory layout; when no policy drops a component it is the input
-    itself, so a ``GrownMask`` stays one.
+    itself, so a ``GrownMask`` stays one. When exactly one component
+    survives, the result is that one VERTEX26 component, ``labels == kept``,
+    returned as a ``GrownMask`` so that ``evaluate`` need not label it; zero
+    or several survivors give a plain ``Mask``.
 
     Every policy keeps or drops whole components, so one labeling of the
     foreground box and a shrinking ``keep`` vector give the mask that
@@ -287,6 +297,11 @@ def postprocess(mask: Mask, policies) -> Mask:
     if keep[1:].all():  # every component stays: the input is the result, of its own type
         return mask
     out = np.zeros_like(mask.data)
+    kept = np.flatnonzero(keep)
+    if len(kept) == 1:  # one VERTEX26 component
+        # compared in the labels' layout; a C-ordered mask's labels are x-fastest
+        out[box.slices()] = labels == int(kept[0])
+        return GrownMask(out, mask.spacing)
     # fancy indexing gathers through the integer labels; np.take would copy them to intp
     out[box.slices()] = keep[labels]
     return Mask(out, mask.spacing)

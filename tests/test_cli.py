@@ -1042,6 +1042,9 @@ class TestConfigSurface:
            method=st.sampled_from(SEGMENT_METHODS), value=JSON_VALUES)
     @example(path=("regiongrow", "window"), method="regiongrow", value=10**30 + 1)
     @example(path=("regiongrow", "R"), method="regiongrow", value=5e-324)  # s / R overflows to inf
+    # bounds past float32's range cast to +-inf against the float32 volume
+    @example(path=("threshold", "t_max"), method="threshold", value=1.7976931348623157e308)
+    @example(path=("threshold", "t_min"), method="threshold", value=-1e39)
     def test_any_segment_value_exits_cleanly(self, demo_volume, scratch_dir, path, method, value):
         doc = replaced(dict(SEGMENT_DEMO, method=method), path, value)
         if path[0] in SEGMENT_METHODS:

@@ -194,6 +194,31 @@ class TestBBox:
         with pytest.raises(ConfigError):
             bbox_of(mask_of([(1, 1, 1)], (3, 3, 3)), margin=-1)
 
+    @pytest.mark.parametrize("layout", ["C", "F", "sliced", "reversed", "step-2"])
+    def test_matches_argwhere_oracle(self, layout):
+        rng = np.random.default_rng(11)
+        views = {"C": lambda g: g, "F": np.asfortranarray, "sliced": lambda g: g[1:-2, 2:, :-1],
+                 "reversed": lambda g: g[::-1, :, ::-1], "step-2": lambda g: g[::2, 1::2, ::-2]}
+        grids = [random_mask(rng, (9, 8, 7), p=p) for p in (0.002, 0.02, 0.3)]
+        for corner in np.ndindex(2, 2, 2):  # single voxels at the grid corners
+            grid = np.zeros((9, 8, 7), bool)
+            grid[tuple(c * (n - 1) for c, n in zip(corner, grid.shape))] = True
+            grids.append(grid)
+        for grid in grids:
+            data = views[layout](grid)
+            if not data.any():
+                continue
+            points = np.argwhere(data)
+            for margin in (0, 1, 20):
+                box = bbox_of(Mask(data, SP), margin=margin)
+                assert box.lo == tuple(int(v) for v in np.maximum(points.min(axis=0) - margin, 0))
+                assert box.hi == tuple(int(v) for v in np.minimum(points.max(axis=0) + margin,
+                                                                  np.array(data.shape) - 1))
+        with pytest.raises(DegenerateInputError):
+            bbox_of(Mask(views[layout](np.zeros((9, 8, 7), bool)), SP))
+        with pytest.raises(ConfigError):
+            bbox_of(Mask(views[layout](grids[-1]), SP), margin=-1)
+
     def test_slices_cover_foreground(self):
         rng = np.random.default_rng(7)
         for _ in range(20):

@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import ndimage
 
 from biliseg import (BoundsError, ConfigError, Connectivity, DegenerateInputError,
                      FloodFillConfig, KeepLargest, KeepSeeded, Mask, MinSize, PreprocessParams,
@@ -11,6 +12,7 @@ from biliseg import (BoundsError, ConfigError, Connectivity, DegenerateInputErro
                      sauvola_threshold_field)
 from biliseg.phantom import PhantomParams, TubeSegment, rasterize_tree, render_intensities
 from biliseg.core import BBox, GrownMask, connected_components
+from biliseg.metrics import topology_report
 from biliseg.preprocess import embed_mask
 from biliseg.segmentation import grow_from_seed
 from conftest import (flood_fill_bfs, neighbor_offsets, ordered_components, reachable_bfs,
@@ -50,6 +52,16 @@ class TestDualThreshold:
         m = dual_threshold(vol(data), cfg)
         assert m.data[:, :, 0].all() and m.data[:, :, 2].all()
         assert not m.data[:, :, 1].any()  # 50 <= 55 on the overridden slice
+
+    def test_bound_past_float32_range(self):
+        # each bound casts to +-inf against the float32 data, silently, and
+        # selects what the float64 bound would
+        data = np.array([-3.0e38, -1.0, 5.0, 6.0, 3.0e38], np.float32).reshape(5, 1, 1)
+        for t_min, t_max, overrides in ((5.0, 1.7976931348623157e308, None), (-1e39, 5.0, None),
+                                        (-2.0, 0.0, {0: (5.0, 1e300)})):
+            m = dual_threshold(vol(data), ThresholdConfig(t_min, t_max, per_slice_overrides=overrides))
+            lo, hi = overrides[0] if overrides else (t_min, t_max)
+            assert m.data[:, 0, 0].tolist() == [lo < float(f) <= hi for f in data[:, 0, 0]]
 
     def test_override_out_of_range_slice(self):
         cfg = ThresholdConfig(40.0, 60.0, per_slice_overrides={7: (41.0, 61.0)})
@@ -482,6 +494,37 @@ class TestPostprocess:
         grown = region_grow(volume, RegionGrowConfig(seed=seed))
         for policies in ([KeepLargest()], [KeepSeeded(seeds=(seed,))], [MinSize(grown.count())]):
             assert postprocess(grown, policies) is grown  # still a GrownMask, so it needs no labeling
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_lone_survivor_is_a_grown_mask(self, order, monkeypatch):
+        band = np.asarray(np.random.default_rng(31).random((16, 14, 10)) < 0.3, order=order)
+        labels, k = ordered_components(band, Connectivity.VERTEX26)
+        sizes = np.bincount(labels.ravel())
+        assert k > 2 and sizes[1] > sizes[2] > sizes[3]
+        largest = labels == 1  # the oracle's largest component
+        mask = Mask(band, SP)
+        seed = tuple(int(i) for i in np.argwhere(largest)[0])
+        for policies in ([KeepLargest()], [KeepSeeded(seeds=(seed,))], [MinSize(int(sizes[1]))]):
+            out = postprocess(mask, policies)
+            assert type(out) is GrownMask, policies
+            assert out.data.tobytes() == largest.tobytes() and out.data.strides == band.strides
+        # several survivors, or none, keep the plain type
+        for policies, count in (([MinSize(int(sizes[2]))], sizes[1] + sizes[2]),
+                                ([MinSize(int(sizes[1]) + 1)], 0)):
+            out = postprocess(mask, policies)
+            assert type(out) is Mask and out.count() == count, policies
+        # inside topology_report only the truth is labeled, not the survivor
+        calls = []
+        label = ndimage.label
+
+        def spy(data, structure):
+            calls.append(int(np.count_nonzero(data)))
+            return label(data, structure=structure)
+
+        survivor = postprocess(mask, [KeepLargest()])
+        monkeypatch.setattr(ndimage, "label", spy)
+        topology_report(survivor, mask)
+        assert calls == [mask.count()]
 
     def test_min_size_above_every_component_then_keep_largest_is_empty(self):
         out = postprocess(self.make_components(), [MinSize(101), KeepLargest()])
