@@ -259,7 +259,7 @@ def cmd_segment(args) -> int:
     try:
         mask = postprocess(mask, policies)
     except DegenerateInputError:
-        mask = Mask(np.zeros(volume.dims, dtype=bool), volume.spacing)
+        mask = Mask(np.zeros(volume.dims, dtype=bool, order="F"), volume.spacing)
 
     write_nifti(mask, out_path)
     n = mask.count()

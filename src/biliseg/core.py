@@ -3,7 +3,10 @@
 Conventions used throughout the package:
 
 * grids are indexed ``(ix, iy, iz)`` with dims ``(nx, ny, nz)``,
-* the linear (file) order runs x fastest, then y, then z,
+* the linear (file) order runs x fastest, then y, then z, and every
+  ``Volume`` and ``Mask`` stores its data in that order (F-contiguous), so
+  ``data.T`` is a C-contiguous ``(z, y, x)`` view; code that needs the
+  memory order works on that view and never asks for strides,
 * voxel centers sit on a regular anisotropic lattice, voxel ``(ix, iy, iz)``
   is at ``(ix*dx, iy*dy, iz*dz)`` millimetres,
 * a neighborhood is the 3x3x3 element ``Connectivity.structure()`` takes
@@ -12,8 +15,7 @@ Conventions used throughout the package:
 * component labels cover the foreground box only and number the components
   in the x-fastest order of their first voxel (``connected_components``); a
   grown mask under VERTEX26, and one FACE6 component under EDGE18 or
-  VERTEX26, are one component and their own labeling,
-* the foreground box (``bbox_of``) is read in the grid's memory order.
+  VERTEX26, are one component and their own labeling.
 """
 from __future__ import annotations
 
@@ -79,7 +81,7 @@ def _prepare_grid(data, dtype) -> np.ndarray:
         raise GeometryError(f"expected a 3D grid, got shape {arr.shape}")
     if any(n < 1 for n in arr.shape):
         raise GeometryError(f"every grid dimension must be >= 1, got {arr.shape}")
-    arr = arr.astype(dtype) if arr.dtype != dtype else arr.view()
+    arr = np.require(arr, dtype, "F").view()  # a copy only when the type or layout differs
     arr.setflags(write=False)
     return arr
 
@@ -210,13 +212,13 @@ def _one_face6_component(crop: np.ndarray) -> bool:
 
     A foreground voxel with no FACE6 neighbour is a component of its own, so
     a box that holds more than that voxel holds several. The scan for such a
-    voxel runs in slabs along the axis slowest in memory and stops at the
-    first slab that has one, so most noisy masks are rejected without a
-    labeling pass. Only a mask without one gets a FACE6 labeling.
+    voxel runs in z-slabs and stops at the first slab that has one, so most
+    noisy masks are rejected without a labeling pass. Only a mask without
+    one gets a FACE6 labeling.
     """
     if crop.size == 1:
         return True
-    a = crop.T if crop.strides[0] < crop.strides[2] else crop  # axis 0 slowest in memory
+    a = crop.T
     n = a.shape[0]
     step = max(1, _SLAB_VOXELS // (a.shape[1] * a.shape[2]))
     for i in range(0, n, step):
@@ -243,20 +245,18 @@ def bbox_of(mask: Mask, margin: int = 0) -> BBox:
     """Smallest box containing all foreground, expanded by ``margin`` voxels
     and clamped to the grid.
 
-    The grid is read in memory order, in about two passes: one projection
-    along the axis slowest in memory gives the plane of the two faster axes,
-    whose ranges come from that small plane, and one reduction over the
-    faster axes gives the slow axis's range.
+    The grid is read in about two passes: one projection along z gives the
+    (x, y) plane, whose ranges come from that small plane, and one reduction
+    over each z-slice gives the z range.
     """
     if margin < 0:
         raise ConfigError(f"margin must be >= 0, got {margin}")
-    perm = np.argsort([-abs(s) for s in mask.data.strides], kind="stable")
-    a = mask.data.transpose(perm)  # axis 0 slowest in memory
+    a = mask.data.T
     plane = a.any(axis=0)
     if not plane.any():
         raise DegenerateInputError("cannot compute the bounding box of an empty mask")
     lo, hi = [0] * 3, [0] * 3
-    for axis, occupied in zip(perm, (a.any(axis=(1, 2)), plane.any(axis=1), plane.any(axis=0))):
+    for axis, occupied in zip((2, 1, 0), (a.any(axis=(1, 2)), plane.any(axis=1), plane.any(axis=0))):
         occupied = np.flatnonzero(occupied)
         lo[axis] = max(int(occupied[0]) - margin, 0)
         hi[axis] = min(int(occupied[-1]) + margin, mask.dims[axis] - 1)

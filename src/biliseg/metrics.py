@@ -195,11 +195,9 @@ def _block_search(out: np.ndarray, shell: _Shell):
     the shell cells within that bound, in decreasing bound order (Taha &
     Hanbury, TPAMI 2015) until the next bound falls below what has been found.
     """
-    # tile along the memory order of ``out`` (NIfTI masks are x-fastest),
-    # so that the copy into tiles streams; ``inv`` maps back to (x, y, z)
-    perm = np.argsort([-stride for stride in out.strides], kind="stable")
-    inv = np.argsort(perm)
-    view = out.transpose(perm)
+    # tile the (z, y, x) view, in memory order, so that the copy into tiles
+    # streams; [2, 1, 0] maps its coordinates back to (x, y, z)
+    view = out.T
     n = -(-np.array(view.shape) // _BLOCK)
     padded = np.zeros(tuple(n * _BLOCK), bool)
     padded[tuple(map(slice, view.shape))] = view
@@ -210,8 +208,8 @@ def _block_search(out: np.ndarray, shell: _Shell):
     budget = out.size * _PAIRS_PER_EDT_VOXEL - len(blocks) * len(shell.starts) * _PAIRS_PER_BOUND
     if budget < 0:
         return None
-    origins = np.column_stack(np.unravel_index(blocks, n))[:, inv] * _BLOCK
-    cells = np.argwhere(np.ones((_BLOCK,) * 3, bool))[:, inv]
+    origins = np.column_stack(np.unravel_index(blocks, n))[:, [2, 1, 0]] * _BLOCK
+    cells = np.argwhere(np.ones((_BLOCK,) * 3, bool))[:, [2, 1, 0]]
     bound, near = [], []
     step = max(1, _CHUNK // len(shell.starts))
     for i in range(0, len(blocks), step):
@@ -267,7 +265,7 @@ def _edt_value_max(b: Mask, shell: _Shell, voxels, dists) -> float:
         ties.append((w[lo != hi], hi[lo != hi]))
     tied = np.concatenate([w[hi > best] for w, hi in ties])
     if len(tied):
-        with_tied = b.data.copy()
+        with_tied = b.data.copy(order="F")
         with_tied[tuple(tied.T)] = True
         box = bbox_of(Mask(with_tied, b.spacing))
         field = distance_transform(Mask(b.data[box.slices()], b.spacing))

@@ -166,42 +166,48 @@ def rasterize_tree(tree: tuple[TubeSegment, ...], dims, spacing: Spacing) -> Mas
         raise DegenerateInputError("cannot rasterize an empty tree")
     dims = tuple(int(n) for n in dims)
     sp = np.array(spacing.as_tuple())
-    fg = np.zeros(dims, dtype=bool)
+    fg = np.zeros(dims, dtype=bool, order="F")
 
     for seg in tree:
         a = np.asarray(seg.start, dtype=np.float64)
         b = np.asarray(seg.end, dtype=np.float64)
         r = float(seg.radius)
+        # every length is scaled by one power of two, which is exact: 2**0
+        # unless the radius or a voxel size passes 2**510, so that r * r is
+        # finite and only a distance far past r can square to inf (outside)
+        k = max(int(np.frexp(max(r, sp.max()))[1]) - 510, 0)
+        a, b, r, step = np.ldexp(a, -k), np.ldexp(b, -k), math.ldexp(r, -k), np.ldexp(sp, -k)
         lo = np.minimum(a, b) - r
         hi = np.maximum(a, b) + r
         # a bound near the float limit over a voxel size below 1 mm divides to
         # +-inf, which is harmless: the test and the clamp below handle it
         with np.errstate(over="ignore"):
-            i0 = np.floor(lo / sp) - 1
-            i1 = np.ceil(hi / sp) + 1
+            i0 = np.floor(lo / step) - 1
+            i1 = np.ceil(hi / step) + 1
         if (i1 < 0).any() or (i0 > np.array(dims) - 1).any():
             continue
         # clamp while still float: a huge radius would overflow the int cast
         i0 = np.maximum(i0, 0).astype(np.int64)
         i1 = np.minimum(i1, np.array(dims) - 1).astype(np.int64)
 
-        px = (np.arange(i0[0], i1[0] + 1) * sp[0])[:, None, None]
-        py = (np.arange(i0[1], i1[1] + 1) * sp[1])[None, :, None]
-        pz = (np.arange(i0[2], i1[2] + 1) * sp[2])[None, None, :]
+        px = (np.arange(i0[0], i1[0] + 1) * step[0])[:, None, None]
+        py = (np.arange(i0[1], i1[1] + 1) * step[1])[None, :, None]
+        pz = (np.arange(i0[2], i1[2] + 1) * step[2])[None, None, :]
         ab = b - a
         # t is the same, bit for bit, with ab scaled down by a power of two and
         # t scaled back, and then |ab|**2 cannot overflow however long ab is
         e = max(np.frexp(np.abs(ab).max())[1], 0)
         unit = np.ldexp(ab, -e)
         length2 = float(unit @ unit)
-        if length2 == 0.0:
-            d2 = (px - a[0]) ** 2 + (py - a[1]) ** 2 + (pz - a[2]) ** 2
-        else:
-            t = ((px - a[0]) * unit[0] + (py - a[1]) * unit[1] + (pz - a[2]) * unit[2]) / length2
-            t = np.clip(np.ldexp(t, -e, out=t), 0.0, 1.0, out=t)
-            d2 = ((px - (a[0] + t * ab[0])) ** 2
-                  + (py - (a[1] + t * ab[1])) ** 2
-                  + (pz - (a[2] + t * ab[2])) ** 2)
+        with np.errstate(over="ignore"):  # an inf d2 is past r * r, see above
+            if length2 == 0.0:
+                d2 = (px - a[0]) ** 2 + (py - a[1]) ** 2 + (pz - a[2]) ** 2
+            else:
+                t = ((px - a[0]) * unit[0] + (py - a[1]) * unit[1] + (pz - a[2]) * unit[2]) / length2
+                t = np.clip(np.ldexp(t, -e, out=t), 0.0, 1.0, out=t)
+                d2 = ((px - (a[0] + t * ab[0])) ** 2
+                      + (py - (a[1] + t * ab[1])) ** 2
+                      + (pz - (a[2] + t * ab[2])) ** 2)
         sub = (slice(i0[0], i1[0] + 1), slice(i0[1], i1[1] + 1), slice(i0[2], i1[2] + 1))
         fg[sub] |= d2 <= r * r
 
@@ -229,4 +235,4 @@ def render_intensities(gt: Mask, params: PhantomParams) -> Volume:
     else:
         # not 0.0 + bg_mean, which would turn a bg_mean of -0.0 into +0.0
         out = np.where(gt.data, fg, bg)
-    return Volume(np.clip(out, 0.0, 255.0, out=out).astype(np.float32), gt.spacing)
+    return Volume(np.clip(out, 0.0, 255.0, out=out).astype(np.float32, order="F"), gt.spacing)

@@ -73,12 +73,9 @@ def percentile_stretch(volume: Volume, params: PreprocessParams | None = None) -
     ``p_low``/``p_high`` percentiles (linear interpolation of order
     statistics). Volumes with no spread map to all zeros.
 
-    The percentiles come from one in-place sort of a float32 copy. The
-    result is float32 in the input's memory layout. The map runs in float64
-    on one slab at a time, so no float64 copy of the grid is made.
-    Slabs run along the axis slowest in memory, so each is contiguous:
-    z-slabs of the x-fastest (F) layout that ``read_nifti`` gives, x-slabs
-    of C order.
+    The percentiles come from one in-place sort of a float32 copy. The map
+    runs in float64 on one z-slab at a time, so no float64 copy of the grid
+    is made.
     """
     params = params or PreprocessParams()
     data = volume.data
@@ -86,7 +83,7 @@ def percentile_stretch(volume: Volume, params: PreprocessParams | None = None) -
     if hi <= lo:
         return Volume(np.zeros_like(data, dtype=np.float32), volume.spacing)
     out = np.empty_like(data, dtype=np.float32)
-    for src, dst in zip(*((data.T, out.T) if data.flags.f_contiguous else (data, out))):
+    for src, dst in zip(data.T, out.T):
         t = src.astype(np.float64)
         t -= lo
         t /= hi - lo
@@ -115,13 +112,11 @@ def dynamic_crop(volume: Volume, params: PreprocessParams) -> tuple[Volume, BBox
 
 def embed_mask(mask: Mask, box: BBox, full_dims: tuple[int, int, int]) -> Mask:
     """Place a mask produced inside ``box`` back onto the full grid, as the
-    same mask type and, when the mask is x-fastest (F-contiguous and not C),
-    in that layout, so writing it out needs no transposing copy."""
+    same mask type."""
     if mask.dims != box.shape():
         raise GeometryError(f"mask dims {mask.dims} do not match box shape {box.shape()}")
     if any(h >= n for h, n in zip(box.hi, full_dims)):
         raise GeometryError(f"box {box} does not fit into grid dims {full_dims}")
-    flags = mask.data.flags
-    full = np.zeros(full_dims, dtype=bool, order="F" if flags.f_contiguous and not flags.c_contiguous else "C")
+    full = np.zeros(full_dims, dtype=bool, order="F")
     full[box.slices()] = mask.data
     return type(mask)(full, mask.spacing)

@@ -156,17 +156,12 @@ def grow_from_seed(allowed: np.ndarray, seed: SeedPoint, structure: np.ndarray) 
     symmetric under negation, so reachability is symmetric and the reachable
     set is exactly the seed's connected component of ``allowed | {seed}``; it
     comes from one ``scipy.ndimage.label`` call and depends on no traversal
-    order. The labeling runs in the memory order of ``allowed``, on the
-    transpose of an x-fastest (F-ordered) map with ``structure.T``, and the
-    result is in that layout.
+    order.
     """
-    region = np.array(allowed, dtype=bool)
+    region = np.array(allowed, dtype=bool, order="F")
     region[seed] = True
-    # C order over the (z, y, x) transpose of an x-fastest map is its memory order
-    axes = (2, 1, 0) if region.flags.f_contiguous else (0, 1, 2)
-    labels, _ = ndimage.label(region.transpose(axes), structure=structure.transpose(axes))
-    labels = labels.transpose(axes)
-    return labels == labels[seed]
+    labels, _ = ndimage.label(region.T, structure=structure.T)
+    return labels.T == labels.T[seed]
 
 
 def flood_fill(volume: Volume, cfg: FloodFillConfig) -> GrownMask:
@@ -238,18 +233,13 @@ def region_grow(volume: Volume, cfg: RegionGrowConfig) -> GrownMask:
     first); the default scale R = 100 presumes that range. The seed is always
     part of the result even if it misses its own threshold, so a user-chosen
     seed never yields an empty mask.
-
-    The predicate map, the growth labels and the grown mask are all in the
-    volume's memory layout: x-fastest for a volume from ``read_nifti``, so
-    each slice's predicate is a contiguous write and ``write_nifti`` stores
-    the mask without a transposing copy.
     """
     seed = require_in_bounds(cfg.seed, volume.dims)
     data = volume.data
     if float(data.min()) < 0.0 or float(data.max()) > 255.0:
         raise ConfigError("region growing expects intensities in [0, 255]; normalize first")
 
-    allowed = np.empty_like(data, dtype=bool)  # in the data's layout, so each slice is contiguous
+    allowed = np.empty_like(data, dtype=bool)  # x-fastest like the data, so each slice is contiguous
     for z in range(volume.dims[2]):
         field_z = sauvola_threshold_field(data[:, :, z], cfg.k, cfg.R, cfg.window)
         np.greater_equal(data[:, :, z], field_z, out=allowed[:, :, z])
@@ -262,12 +252,12 @@ def region_grow(volume: Volume, cfg: RegionGrowConfig) -> GrownMask:
 
 def postprocess(mask: Mask, policies) -> Mask:
     """Apply component-filtering policies in order to the mask's 26-connected
-    components. The result is always a subset of the input mask, in the
-    input's memory layout; when no policy drops a component it is the input
-    itself, so a ``GrownMask`` stays one. When exactly one component
-    survives, the result is that one VERTEX26 component, ``labels == kept``,
-    returned as a ``GrownMask`` so that ``evaluate`` need not label it; zero
-    or several survivors give a plain ``Mask``.
+    components. The result is always a subset of the input mask; when no
+    policy drops a component it is the input itself, so a ``GrownMask``
+    stays one. When exactly one component survives, the result is that one
+    VERTEX26 component, ``labels == kept``, returned as a ``GrownMask`` so
+    that ``evaluate`` need not label it; zero or several survivors give a
+    plain ``Mask``.
 
     Every policy keeps or drops whole components, so one labeling of the
     foreground box and a shrinking ``keep`` vector give the mask that
@@ -299,7 +289,6 @@ def postprocess(mask: Mask, policies) -> Mask:
     out = np.zeros_like(mask.data)
     kept = np.flatnonzero(keep)
     if len(kept) == 1:  # one VERTEX26 component
-        # compared in the labels' layout; a C-ordered mask's labels are x-fastest
         out[box.slices()] = labels == int(kept[0])
         return GrownMask(out, mask.spacing)
     # fancy indexing gathers through the integer labels; np.take would copy them to intp

@@ -177,6 +177,12 @@ class TestPhantomCommand:
         values = read_nifti(tmp_path / "loud_v.nii").data
         assert set(np.unique(values).tolist()) <= {0.0, 255.0}
 
+    def test_radius_near_the_largest_float_fills_the_grid(self, tmp_path, capsys):
+        # r * r and the squares of distances along a 1e300 mm segment are past the largest float
+        assert self.run_demo_phantom(tmp_path, "wide", segment_length=1e300, radius_root=1.797e308) == 0
+        assert capsys.readouterr().err == ""
+        assert read_nifti(tmp_path / "wide_t.nii", as_mask=True).count() == 294_912  # all of 96 x 96 x 32
+
     def test_tree_past_the_largest_float_exit_2(self, tmp_path, capsys):
         assert self.run_demo_phantom(tmp_path, "huge", segment_length=1e308) == 2
         assert capsys.readouterr().err.startswith("error: segment_length 1e+308 over 4 segments")
@@ -1067,10 +1073,10 @@ class TestConfigSurface:
         assert code == 2 and err.startswith("error: ")
         assert not volume.exists()
 
-    # every float field of the demo phantom, one at a time, at a value of either sign
+    # every float field of the demo phantom, one at a time, at any finite value
     @settings(max_examples=40, deadline=None)
     @given(st.tuples(st.sampled_from(sorted(k for k, v in PHANTOM_DEMO.items() if type(v) is float)),
-                     st.floats(-1e3, 1e3)))
+                     st.floats(allow_nan=False, allow_infinity=False)))
     @example(("branch_angle", -0.0))  # passes the >= 0 check, then bounds rng.uniform(0.0, -0.0)
     def test_any_phantom_float_exits_cleanly(self, scratch_dir, edit):
         key, value = edit

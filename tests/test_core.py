@@ -44,6 +44,17 @@ class TestVolume:
         with pytest.raises(ValueError):
             v.data[0, 0, 0] = 1.0
 
+    def test_every_grid_is_x_fastest_and_read_only(self):
+        values = np.random.default_rng(5).normal(0, 3, (5, 4, 3))
+        strided = np.zeros((10, 8, 6), np.float32)[::2, ::-2, 1::2]
+        strided[...] = values
+        for data in (values.astype(np.float32), np.asfortranarray(values, np.float32), strided, values):
+            for cls, want in ((Volume, values.astype(np.float32)), (Mask, values.astype(bool))):
+                grid = cls(data, SP).data
+                assert grid.flags.f_contiguous and not grid.flags.c_contiguous
+                assert not grid.flags.writeable and data.flags.writeable
+                assert grid.dtype == want.dtype and np.array_equal(grid, want)
+
 
 def full_labels(labels, box, dims) -> np.ndarray:
     """The box labels of ``connected_components`` placed on the whole grid."""

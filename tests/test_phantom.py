@@ -175,10 +175,20 @@ class TestRasterize:
         _, sizes, _ = connected_components(mask, Connectivity.VERTEX26)
         assert len(sizes) - 1 == 2
 
+    @pytest.mark.parametrize("end", [(0.0, 0.0, 0.0), (0.0, 0.0, 5e154)])
+    def test_distance_past_a_huge_radius_stays_outside(self, end):
+        # distances 0 to 3e154 mm from a 2.5e154 mm radius: both square past the largest float
+        tree = (TubeSegment((0.0, 0.0, 0.0), end, 2.5e154, -1),)
+        mask = rasterize_tree(tree, (4, 1, 1), Spacing(1e154, 1e154, 1e154))
+        assert mask.data.ravel().tolist() == [True, True, True, False]
+
     def test_tree_outside_grid_rejected(self):
-        tree = (TubeSegment((100.0, 100.0, 100.0), (120.0, 100.0, 100.0), 2.0, -1),)
-        with pytest.raises(DegenerateInputError):
-            rasterize_tree(tree, (10, 10, 10), SP)
+        # the second tube's box holds the grid, but it passes about 7e299 mm
+        # from it, a distance whose square is past the largest float
+        for tree in ((TubeSegment((100.0, 100.0, 100.0), (120.0, 100.0, 100.0), 2.0, -1),),
+                     (TubeSegment((0.0, 1e300, 1.0), (1e300, 0.0, 1.0), 2.0, -1),)):
+            with pytest.raises(DegenerateInputError):
+                rasterize_tree(tree, (10, 10, 10), SP)
 
     def test_empty_tree_rejected(self):
         with pytest.raises(DegenerateInputError):

@@ -128,10 +128,10 @@ class TestPercentileStretch:
         rng = np.random.default_rng(14)
         data = np.asarray(rng.normal(50, 40, (9, 7, 5)).astype(np.float32), order=order)
         out = percentile_stretch(Volume(data, SP), PreprocessParams(p_low=2.5, p_high=97))
-        assert out.data.flags[{"C": "C_CONTIGUOUS", "F": "F_CONTIGUOUS"}[order]]
+        assert out.data.flags.f_contiguous  # x-fastest, whatever the input's layout
         lo, hi = np.percentile(data.astype(np.float64), (2.5, 97))
         want = (np.clip((data.astype(np.float64) - lo) / (hi - lo), 0.0, 1.0) * 255.0).astype(np.float32)
-        assert out.data.dtype == np.float32 and out.data.tobytes("A") == want.tobytes("A")
+        assert out.data.dtype == np.float32 and out.data.tobytes("F") == want.tobytes("F")
 
     def test_peak_memory_is_the_float32_copy_and_the_output(self):
         # a float64 copy of the grid alone would be 2x; the guard is 2.5x
@@ -216,8 +216,7 @@ class TestEmbedMask:
         local = Mask(np.asarray(np.random.default_rng(2).random((5, 4, 3)) < 0.5, order=order), SP)
         box = BBox((2, 1, 3), (6, 4, 5))
         full = embed_mask(local, box, (9, 8, 7))
-        assert full.data.flags.f_contiguous == (order == "F")
-        assert full.data.flags.c_contiguous == (order == "C")
+        assert full.data.flags.f_contiguous and not full.data.flags.c_contiguous  # x-fastest
         assert np.array_equal(full.data[box.slices()], local.data) and full.count() == local.count()
 
     def test_dims_must_match_box(self):
