@@ -2,7 +2,8 @@
 
 __version__ = "0.1.0"
 
-from .core import BBox, Connectivity, Mask, Spacing, Volume, bbox_of, connected_components
+from .core import (BBox, Connectivity, Mask, Spacing, Volume, bbox_of, connected_components,
+                   embed_mask)
 from .errors import (BilisegError, BoundsError, ConfigError, DegenerateInputError,
                      FormatError, GeometryError)
 from .mesh import extract_surface_mesh, write_stl
@@ -11,7 +12,7 @@ from .metrics import (MetricsReport, dice, distance_transform, evaluate, hausdor
 from .nifti import read_nifti, write_nifti
 from .phantom import (PhantomParams, TubeSegment, generate_tree, rasterize_tree,
                       render_intensities)
-from .preprocess import PreprocessParams, dynamic_crop, embed_mask, percentile_stretch
+from .preprocess import PreprocessParams, dynamic_crop, percentile_stretch
 from .report import metrics_to_dict, write_report
 from .segmentation import (FloodFillConfig, KeepLargest, KeepSeeded, MinSize,
                            RegionGrowConfig, ThresholdConfig, dual_threshold, flood_fill,

@@ -20,13 +20,13 @@ from enum import IntEnum
 import numpy as np
 
 from . import __version__
-from .core import Connectivity, GrownMask, Mask, connected_components
+from .core import Connectivity, GrownMask, Mask, connected_components, embed_mask
 from .errors import BilisegError, ConfigError, DegenerateInputError
 from .mesh import extract_surface_mesh, write_stl
 from .metrics import evaluate
 from .nifti import read_nifti, write_nifti
 from .phantom import PhantomParams, generate_tree, rasterize_tree, render_intensities
-from .preprocess import PreprocessParams, dynamic_crop, embed_mask, percentile_stretch
+from .preprocess import PreprocessParams, dynamic_crop, percentile_stretch
 from .report import COLUMNS, FORMATS, write_report
 from .segmentation import (FloodFillConfig, KeepLargest, KeepSeeded, MinSize,
                            RegionGrowConfig, ThresholdConfig, dual_threshold,

@@ -261,3 +261,15 @@ def bbox_of(mask: Mask, margin: int = 0) -> BBox:
         lo[axis] = max(int(occupied[0]) - margin, 0)
         hi[axis] = min(int(occupied[-1]) + margin, mask.dims[axis] - 1)
     return BBox(tuple(lo), tuple(hi))
+
+
+def embed_mask(mask: Mask, box: BBox, full_dims: tuple[int, int, int]) -> Mask:
+    """Place a mask produced inside ``box`` back onto the full grid, as the
+    same mask type."""
+    if mask.dims != box.shape():
+        raise GeometryError(f"mask dims {mask.dims} do not match box shape {box.shape()}")
+    if any(h >= n for h, n in zip(box.hi, full_dims)):
+        raise GeometryError(f"box {box} does not fit into grid dims {full_dims}")
+    full = np.zeros(full_dims, dtype=bool, order="F")
+    full[box.slices()] = mask.data
+    return type(mask)(full, mask.spacing)

@@ -8,9 +8,9 @@ without one: a source inside the target is at distance 0, the search keeps
 to the bounding box of the source voxels outside the target and the target,
 and bounds on 8^3 blocks of that box prune an exact search against the
 target's shell. Only when the search would cost more than a distance
-transform of the box, or two nearest voxels tie to the last bit, does a
-distance transform of a box run. ``distance_transform`` returns that
-transform as a plain float64 array.
+transform of the box, or two nearest voxels tie to the last bit, does one
+distance transform of that search box run. ``distance_transform`` returns
+that transform as a plain float64 array.
 
 The topology counts are automated connected-component proxies for visual
 error tallies: spurious prediction components (outliers), ground-truth
@@ -123,9 +123,10 @@ def _directed_hd(a: Mask, b: Mask) -> float:
     inner = Mask(b.data[box], b.spacing)
     shell = _Shell(inner)
     found = _block_search(out, shell)
-    if found is None:
-        return float(distance_transform(inner)[out].max())
-    return _edt_value_max(inner, shell, *found)
+    best = None if found is None else _edt_value_max(shell, *found)
+    if best is None:  # the cost guard or an ulp tie
+        best = float(distance_transform(inner)[out].max())
+    return best
 
 
 class _Shell:
@@ -238,17 +239,18 @@ def _block_search(out: np.ndarray, shell: _Shell):
     return voxels[keep], dists[keep]
 
 
-def _edt_value_max(b: Mask, shell: _Shell, voxels, dists) -> float:
-    """Largest distance-transform value over the candidate ``voxels``.
+def _edt_value_max(shell: _Shell, voxels, dists) -> float | None:
+    """Largest distance-transform value over the candidate ``voxels``, or
+    None when an ulp tie could set it.
 
     ``ndimage.distance_transform_edt`` reports ``sqrt(sum((off_i * s_i)**2))``
     for the integer offset ``off`` to the feature voxel it picked, summing
     the axes in order. That feature lies within ``_REL_TOL`` of the nearest
     distance, so the value is settled when every shell voxel that close gives
-    the same float. Otherwise (an ulp tie) the distance transform on a box
-    that holds all of ``b`` and the voxel decides.
+    the same float. Otherwise (an ulp tie) only the distance transform can
+    tell which float it reports.
     """
-    best, ties = 0.0, []
+    best, tie = 0.0, 0.0
     step = max(1, _CHUNK // len(shell.starts))
     for i in range(0, len(voxels), step):
         w, reach = voxels[i:i + step], dists[i:i + step] * (1 + _REL_TOL)
@@ -262,15 +264,8 @@ def _edt_value_max(b: Mask, shell: _Shell, voxels, dists) -> float:
         lo = np.minimum.reduceat(value, starts)
         hi = np.maximum.reduceat(np.where(value <= reach[owner], value, -np.inf), starts)
         best = max(best, float(lo[lo == hi].max(initial=0.0)))
-        ties.append((w[lo != hi], hi[lo != hi]))
-    tied = np.concatenate([w[hi > best] for w, hi in ties])
-    if len(tied):
-        with_tied = b.data.copy(order="F")
-        with_tied[tuple(tied.T)] = True
-        box = bbox_of(Mask(with_tied, b.spacing))
-        field = distance_transform(Mask(b.data[box.slices()], b.spacing))
-        best = max(best, float(field[tuple((tied - box.lo).T)].max()))
-    return best
+        tie = max(tie, float(hi[lo != hi].max(initial=0.0)))
+    return None if tie > best else best
 
 
 def topology_report(pred: Mask, gt: Mask,

@@ -7,8 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BBox, Mask, Volume, bbox_of, connected_components
-from .errors import ConfigError, DegenerateInputError, GeometryError
+from .core import BBox, Mask, Volume, bbox_of
+from .errors import ConfigError, DegenerateInputError
+from .segmentation import KeepLargest, postprocess
 
 
 @dataclass(frozen=True)
@@ -94,29 +95,16 @@ def percentile_stretch(volume: Volume, params: PreprocessParams | None = None) -
 
 
 def dynamic_crop(volume: Volume, params: PreprocessParams) -> tuple[Volume, BBox]:
-    """Crop to the box around the largest bright component.
+    """Crop to the box around the largest bright component, the one
+    ``KeepLargest`` keeps.
 
     Returns the cropped sub-volume and the box, which maps masks produced
-    inside the crop back to full-grid coordinates (see ``embed_mask``).
+    inside the crop back to full-grid coordinates (see ``core.embed_mask``).
     """
     data = volume.data
     if float(data.min()) == float(data.max()):
         raise DegenerateInputError("constant volume has no croppable structure")
     threshold = _percentiles(data, (params.crop_percentile,))[0]
     bright = Mask(data >= threshold, volume.spacing)
-    labels, sizes, inner = connected_components(bright)
-    largest = Mask(labels == np.argmax(sizes[1:]) + 1, volume.spacing)
-    box = bbox_of(embed_mask(largest, inner, volume.dims), params.crop_margin)
+    box = bbox_of(postprocess(bright, [KeepLargest()]), params.crop_margin)
     return Volume(data[box.slices()], volume.spacing), box
-
-
-def embed_mask(mask: Mask, box: BBox, full_dims: tuple[int, int, int]) -> Mask:
-    """Place a mask produced inside ``box`` back onto the full grid, as the
-    same mask type."""
-    if mask.dims != box.shape():
-        raise GeometryError(f"mask dims {mask.dims} do not match box shape {box.shape()}")
-    if any(h >= n for h, n in zip(box.hi, full_dims)):
-        raise GeometryError(f"box {box} does not fit into grid dims {full_dims}")
-    full = np.zeros(full_dims, dtype=bool, order="F")
-    full[box.slices()] = mask.data
-    return type(mask)(full, mask.spacing)

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .core import (Connectivity, GrownMask, Mask, Volume, connected_components, in_bounds,
-                   require_in_bounds)
+from .core import (Connectivity, GrownMask, Mask, Volume, connected_components, embed_mask,
+                   in_bounds, require_in_bounds)
 from .errors import ConfigError, DegenerateInputError
 
 SeedPoint = tuple[int, int, int]
@@ -286,11 +286,8 @@ def postprocess(mask: Mask, policies) -> Mask:
             raise ConfigError(f"unknown post-processing policy {policy!r}")
     if keep[1:].all():  # every component stays: the input is the result, of its own type
         return mask
-    out = np.zeros_like(mask.data)
     kept = np.flatnonzero(keep)
     if len(kept) == 1:  # one VERTEX26 component
-        out[box.slices()] = labels == int(kept[0])
-        return GrownMask(out, mask.spacing)
+        return embed_mask(GrownMask(labels == int(kept[0]), mask.spacing), box, mask.dims)
     # fancy indexing gathers through the integer labels; np.take would copy them to intp
-    out[box.slices()] = keep[labels]
-    return Mask(out, mask.spacing)
+    return embed_mask(Mask(keep[labels], mask.spacing), box, mask.dims)

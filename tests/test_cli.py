@@ -79,6 +79,12 @@ BAD_SEGMENT_VALUES = {
     # the demo crop is on, so _run_method checks the slice against the volume's 32
     "override-slice-beyond-the-volume": ("threshold", lambda c: c["threshold"].update(
         per_slice_overrides={"99": [100, 200]})),
+    "t_max-missing": ("threshold", lambda c: c["threshold"].pop("t_max")),
+    "seed-missing": ("regiongrow", lambda c: c["regiongrow"].pop("seed")),
+    "min_size-without-voxels": ("regiongrow", lambda c: c.update(postprocess=[{"policy": "min_size"}])),
+    "postprocess-object": ("regiongrow", lambda c: c.update(postprocess={"policy": "keep_largest"})),
+    "keep_seeded-no-seeds": ("regiongrow", lambda c: c.update(
+        postprocess=[{"policy": "keep_seeded", "seeds": []}])),
 }
 
 

@@ -69,6 +69,7 @@ class TestParams:
     @pytest.mark.parametrize("kw", [
         {"p_low": -1}, {"p_high": 101}, {"p_low": 50, "p_high": 50},
         {"crop_margin": -1}, {"crop_percentile": 120},
+        {"p_low": "1"}, {"crop_margin": 2.0},
     ])
     def test_invalid(self, kw):
         with pytest.raises(ConfigError):
@@ -181,6 +182,17 @@ class TestDynamicCrop:
                                                     crop_margin=0))
         assert box.lo == (2, 2, 2) and box.hi == (9, 5, 5)
 
+    def test_tie_goes_to_the_first_component_in_x_fastest_order(self):
+        # two 2x2x2 bright cubes of equal size; the first voxel of the one at
+        # z = 1 comes first in x-fastest order, though the other has lower x
+        data = np.zeros((12, 8, 8), np.float32)
+        data[7:9, 1:3, 1:3] = 50.0
+        data[1:3, 4:6, 5:7] = 50.0
+        vol = Volume(data, SP)
+        _, box = dynamic_crop(vol, PreprocessParams(crop_enabled=True, crop_percentile=99,
+                                                    crop_margin=0))
+        assert box.lo == (7, 1, 1) and box.hi == (8, 2, 2)
+
     def test_crop_never_discards_largest_component(self):
         rng = np.random.default_rng(13)
         for _ in range(10):
@@ -221,5 +233,7 @@ class TestEmbedMask:
 
     def test_dims_must_match_box(self):
         local = Mask(np.ones((3, 3, 3), bool), SP)
-        with pytest.raises(GeometryError):
+        with pytest.raises(GeometryError, match="do not match"):
             embed_mask(local, BBox((0, 0, 0), (1, 1, 1)), (10, 10, 10))
+        with pytest.raises(GeometryError, match="does not fit"):  # the box passes the grid's end
+            embed_mask(local, BBox((8, 0, 0), (10, 2, 2)), (10, 10, 10))

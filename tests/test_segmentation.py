@@ -11,9 +11,8 @@ from biliseg import (BoundsError, ConfigError, Connectivity, DegenerateInputErro
                      dynamic_crop, flood_fill, percentile_stretch, postprocess, region_grow,
                      sauvola_threshold_field)
 from biliseg.phantom import PhantomParams, TubeSegment, rasterize_tree, render_intensities
-from biliseg.core import BBox, GrownMask, connected_components
+from biliseg.core import BBox, GrownMask, connected_components, embed_mask
 from biliseg.metrics import topology_report
-from biliseg.preprocess import embed_mask
 from biliseg.segmentation import grow_from_seed
 from conftest import (flood_fill_bfs, neighbor_offsets, ordered_components, reachable_bfs,
                       sauvola_threshold)
@@ -481,6 +480,10 @@ class TestPostprocess:
     def test_min_size_validation(self):
         with pytest.raises(ConfigError):
             MinSize(0)
+
+    def test_unknown_policy_rejected(self):
+        with pytest.raises(ConfigError, match="unknown post-processing policy"):
+            postprocess(self.make_components(), [object()])
 
     def test_empty_policy_list_is_identity(self):
         m = self.make_components()

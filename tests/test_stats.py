@@ -73,6 +73,16 @@ class TestRegIncBeta:
             assert reg_inc_beta(x, a, b) == pytest.approx(float(special.betainc(a, b, x)),
                                                           abs=1e-10)
 
+    @pytest.mark.parametrize("x, a, b, expected", [
+        (0.3, 2.5, 4.0, "0x1.68a67be4cc811p-2"),      # the direct fraction
+        (0.42, 13.0, 7.5, "0x1.937350d23b6fap-6"),
+        (0.7, 0.5, 0.5, "0x1.43111b092557dp-1"),      # the reflected fraction
+        (0.02, 3.0, 200.0, "0x1.8a930d9933dd2p-1"),
+        (0.05, 0.1, 40.0, "0x1.fd3481f80652ep-1"),
+    ])
+    def test_pinned_bits(self, x, a, b, expected):
+        assert reg_inc_beta(x, a, b).hex() == expected
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             reg_inc_beta(-0.1, 1.0, 1.0)
