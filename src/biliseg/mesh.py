@@ -21,6 +21,8 @@ STL_HEADER = b"biliseg voxel surface"
 TRIANGLE_RECORD = np.dtype([("normal", "<f4", (3,)), ("vertices", "<f4", (3, 3)), ("attr", "<u2")])
 # (b, c) signs of a face's corners, in the order of a +axis face
 _QUAD_CORNERS = np.array([(-1, -1), (1, -1), (1, 1), (-1, 1)])
+# faces per vertex fill: bounds the float64 temporary at 8192 x 2 x 3 x 3 values (1.2 MB)
+_FILL_FACES = 8192
 
 
 def extract_surface_mesh(mask: Mask) -> np.ndarray:
@@ -57,7 +59,9 @@ def extract_surface_mesh(mask: Mask) -> np.ndarray:
         quad[:, cols] = _QUAD_CORNERS * half[cols]
         stop = start + 2 * len(idx)
         halves = mesh["vertices"][start:stop].reshape(2, len(idx), 3, 3)  # a view: splits axis 0
-        np.add((idx * spacing)[:, None, :], quad[[(0, 1, 2), (0, 2, 3)]][:, None], out=halves)
+        corners = quad[[(0, 1, 2), (0, 2, 3)]][:, None]
+        for c in range(0, len(idx), _FILL_FACES):  # a broadcast add straight into the records is slower
+            halves[:, c:c + _FILL_FACES] = (idx[c:c + _FILL_FACES] * spacing)[:, None, :] + corners
         mesh["normal"][start:stop, axis] = sign
         start = stop
     return mesh

@@ -3,6 +3,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -978,6 +981,36 @@ class TestUsage:
 
     def test_missing_required_flag_exit_2(self):
         assert main(["mesh", "--in", "x.nii"]) == 2
+
+
+class TestImports:
+    def test_cropped_segment_loads_no_scipy_sparse(self, tmp_path):
+        # the crop labels its sparse bright mask from its voxel list, in numpy
+        # alone: scipy.sparse would add about 0.1 s to every fresh process.
+        # Under this noise the top 1% of the demo phantom spans its grid at
+        # about 100 voxels per bright voxel
+        volume = tmp_path / "v.nii"
+        assert main(["phantom", "--config", write_json(tmp_path / "p.json", dict(PHANTOM_DEMO, noise_std=30.0)),
+                     "--out-volume", str(volume), "--out-truth", str(tmp_path / "t.nii")]) == 0
+        config = write_json(tmp_path / "c.json", dict(
+            SEGMENT_DEMO, preprocess=dict(SEGMENT_DEMO["preprocess"], crop_percentile=99.0)))
+        script = (
+            "import sys\n"
+            "import biliseg.cli\n"
+            "from biliseg import core\n"
+            "calls = []\n"
+            "label_sparse = core._label_sparse\n"
+            "core._label_sparse = lambda *args: calls.append(args) or label_sparse(*args)\n"
+            "code = biliseg.cli.main(sys.argv[1:])\n"
+            "print(code, len(calls), [m for m in sys.modules if m.split('.')[:2] == ['scipy', 'sparse']])\n")
+        src = str(Path(biliseg.cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script, "segment", "--in", str(volume), "--out",
+                               str(tmp_path / "m.nii"), "--config", config, "--method", "threshold"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        code, calls, loaded = proc.stdout.splitlines()[-1].split(" ", 2)
+        assert (code, loaded) == ("0", "[]") and int(calls) >= 1
 
 
 class TestEvaluateConnectivityFlag:

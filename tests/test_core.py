@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+from biliseg import core
 from biliseg import (BBox, ConfigError, Connectivity, DegenerateInputError, GeometryError, Mask,
                      Spacing, Volume, bbox_of, connected_components)
 from conftest import (face6_blob, neighbor_offsets, ordered_components, place_in_grid, random_mask,
@@ -61,6 +62,38 @@ def full_labels(labels, box, dims) -> np.ndarray:
     full = np.zeros(dims, dtype=labels.dtype)
     full[box.slices()] = labels
     return full
+
+
+def assert_matches_oracles(c_order, conn, offsets):
+    """``connected_components`` of ``c_order``, C-ordered, F-ordered and as a
+    strided view, against the union-find and ordered-labeling oracles."""
+    expected = union_find_components(c_order, offsets)
+    want, k = ordered_components(c_order, conn)
+    strided = np.zeros(tuple(2 * n for n in c_order.shape), bool)[::2, ::-2, ::2]
+    strided[...] = c_order
+    for data in (c_order, np.asfortranarray(c_order), strided):
+        mask = Mask(data, SP)
+        labels, sizes, box = connected_components(mask, conn)
+        assert box == (bbox_of(mask) if data.any() else BBox((0, 0, 0), tuple(n - 1 for n in data.shape)))
+        assert len(sizes) - 1 == len(expected) == k
+        assert np.array_equal(sizes, np.bincount(labels.ravel(), minlength=k + 1))
+        full = full_labels(labels, box, data.shape)
+        groups: dict[int, set] = {}
+        for p in map(tuple, np.argwhere(data)):
+            groups.setdefault(int(full[p]), set()).add(p)
+        assert 0 not in groups
+        assert set(map(frozenset, groups.values())) == set(expected)
+        assert not full[~data].any()
+        # numbered by first voxel in x-fastest order
+        flat = full.ravel(order="F")
+        assert list(dict.fromkeys(flat[flat > 0].tolist())) == list(range(1, k + 1))
+        # so a stable sort by decreasing size gives the ordered labels
+        by_size = np.zeros(k + 1, dtype=np.int32)
+        by_size[np.argsort(-sizes[1:], kind="stable") + 1] = np.arange(1, k + 1)
+        assert np.array_equal(by_size[full], want)
+        # a labeling pass, on either route, gives int32 labels as an x-fastest view
+        if data.any() and labels.dtype != np.uint8:
+            assert labels.dtype == np.int32 and labels.flags.f_contiguous
 
 
 class TestConnectedComponents:
@@ -126,30 +159,69 @@ class TestConnectedComponents:
         apart[:, 0, 0] = apart[:, 2, 2] = True
         grids += [touching, place_in_grid(rng, touching, (9, 9, 5)), apart, place_in_grid(rng, apart, (9, 9, 5))]
         for c_order in grids:
-            expected = union_find_components(c_order, offsets)
-            want, k = ordered_components(c_order, conn)
-            strided = np.zeros(tuple(2 * n for n in c_order.shape), bool)[::2, ::-2, ::2]
-            strided[...] = c_order
-            for data in (c_order, np.asfortranarray(c_order), strided):
-                mask = Mask(data, SP)
-                labels, sizes, box = connected_components(mask, conn)
-                assert box == (bbox_of(mask) if data.any() else BBox((0, 0, 0), tuple(n - 1 for n in data.shape)))
-                assert len(sizes) - 1 == len(expected) == k
-                assert np.array_equal(sizes, np.bincount(labels.ravel(), minlength=k + 1))
-                full = full_labels(labels, box, data.shape)
-                groups: dict[int, set] = {}
-                for p in map(tuple, np.argwhere(data)):
-                    groups.setdefault(int(full[p]), set()).add(p)
-                assert 0 not in groups
-                assert set(map(frozenset, groups.values())) == set(expected)
-                assert not full[~data].any()
-                # numbered by first voxel in x-fastest order
-                flat = full.ravel(order="F")
-                assert list(dict.fromkeys(flat[flat > 0].tolist())) == list(range(1, k + 1))
-                # so a stable sort by decreasing size gives the ordered labels
-                by_size = np.zeros(k + 1, dtype=np.int32)
-                by_size[np.argsort(-sizes[1:], kind="stable") + 1] = np.arange(1, k + 1)
-                assert np.array_equal(by_size[full], want)
+            assert_matches_oracles(c_order, conn, offsets)
+
+    @pytest.mark.parametrize("conn", list(Connectivity))
+    def test_sparse_masks_match_the_oracles(self, conn):
+        # foreground boxes with well over _SPARSE_RATIO voxels per foreground
+        # voxel, which are labeled from their voxel lists
+        rng = np.random.default_rng(100 + int(conn))
+        offsets = neighbor_offsets(conn)
+        grids = []
+        for _ in range(30):
+            grid = random_mask(rng, tuple(int(n) for n in rng.integers(14, 24, 3)), p=rng.uniform(0.002, 0.015))
+            grid[0, 0, 0] = grid[-1, -1, -1] = True  # the box is the grid
+            grids += [grid, place_in_grid(rng, grid, tuple(n + 3 for n in grid.shape))]
+        # voxels that are neighbours in linear order only: x = nx-1 and x = 0
+        # of the next row (and of the same row), y = ny-1 and y = 0 of the
+        # next plane (and of the same plane), with the corners spanning the grid
+        wraps = np.zeros((10, 9, 8), bool)
+        for p in [(0, 0, 0), (9, 8, 7), (9, 3, 4), (0, 4, 4), (0, 6, 4), (9, 6, 4), (9, 2, 1), (0, 4, 1),
+                  (4, 8, 2), (4, 0, 3), (6, 0, 6), (6, 8, 6), (2, 8, 5), (3, 0, 6)]:
+            wraps[p] = True
+        # voxels without a neighbour, so no pairs at all
+        isolated = np.zeros((19, 19, 19), bool)
+        isolated[::6, ::6, ::6] = True
+        # one long path: rows g apart in y joined at alternate x ends, planes
+        # g apart in z joined at alternate corners
+        g = 10
+        serpentine = np.zeros((40, 4 * g + 1, 4 * g + 1), bool)
+        for z in range(0, 4 * g + 1, g):
+            serpentine[:, ::g, z] = True
+            for y in range(0, 4 * g, g):
+                serpentine[39 if y // g % 2 == 0 else 0, y:y + g + 1, z] = True
+            if z < 4 * g:
+                x, y = (39, 4 * g) if z // g % 2 == 0 else (0, 0)
+                serpentine[x, y, z:z + g + 1] = True
+        # random walks of VERTEX26 steps: components of many voxels, in no
+        # particular x-fastest order, where union-find builds deep trees
+        steps = np.array(neighbor_offsets(Connectivity.VERTEX26))
+        for _ in range(3):
+            walk, here = np.zeros((36, 36, 36), bool), np.array([18, 18, 18])
+            for step in steps[rng.integers(len(steps), size=1500)]:
+                here = np.clip(here + step, 0, 35)
+                walk[tuple(here)] = True
+            walk[0, 0, 0] = walk[-1, -1, -1] = True
+            grids.append(walk)
+        grids += [wraps, isolated, serpentine]
+        for grid in grids:
+            assert np.count_nonzero(grid) * core._SPARSE_RATIO < grid[bbox_of(Mask(grid, SP)).slices()].size
+            assert_matches_oracles(grid, conn, offsets)
+        assert connected_components(Mask(wraps, SP), conn)[1].tolist() == [wraps.size - 14] + [1] * 14
+        if not conn.in_slice:
+            n = int(serpentine.sum())
+            assert connected_components(Mask(serpentine, SP), conn)[1].tolist() == [serpentine.size - n, n]
+
+    def test_sparse_labeling_without_pairs(self):
+        # one voxel, and voxels with no neighbour, inside a larger box
+        for coords in ([(3, 4, 5)], [(0, 0, 0), (2, 2, 2), (9, 0, 0), (0, 9, 9), (5, 5, 0)]):
+            crop = mask_of(coords, (10, 10, 10)).data
+            for conn in Connectivity:
+                raw, k = ndimage.label(crop.T, structure=conn.structure().T)
+                labels, sizes = core._label_sparse(crop, conn)
+                assert k == len(coords)
+                assert labels.dtype == np.int32 and labels.flags.f_contiguous
+                assert np.array_equal(labels, raw.T) and np.array_equal(sizes, np.bincount(raw.ravel()))
 
     def test_one_labeling_per_mask(self, monkeypatch):
         # the neighbour count of each structure ndimage.label is called with
@@ -165,6 +237,10 @@ class TestConnectedComponents:
         band = np.random.default_rng(3).random((24, 20, 8))
         _, sizes, _ = connected_components(Mask((band > 0.4) & (band < 0.7), SP))
         assert calls == [26] and len(sizes) > 2
+        # a sparse mask of many components is labeled from its voxel list
+        calls.clear()
+        _, sizes, _ = connected_components(Mask(np.random.default_rng(5).random((40, 40, 20)) < 0.01, SP))
+        assert calls == [] and len(sizes) > 2
         # one FACE6 component: one FACE6 labeling proves it, no VERTEX26 pass.
         # A full 128x128 plane pierced by a spur: the spur's end voxels have
         # their one FACE6 neighbour in the plane before or after theirs, which
