@@ -12,7 +12,7 @@ from .metrics import (MetricsReport, dice, distance_transform, evaluate, hausdor
 from .nifti import read_nifti, write_nifti
 from .phantom import (PhantomParams, TubeSegment, generate_tree, rasterize_tree,
                       render_intensities)
-from .preprocess import PreprocessParams, dynamic_crop, percentile_stretch
+from .preprocess import PreprocessParams, dynamic_crop, percentile_stretch, stretch_and_crop
 from .report import metrics_to_dict, write_report
 from .segmentation import (FloodFillConfig, KeepLargest, KeepSeeded, MinSize,
                            RegionGrowConfig, ThresholdConfig, dual_threshold, flood_fill,

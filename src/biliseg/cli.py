@@ -26,7 +26,7 @@ from .mesh import extract_surface_mesh, write_stl
 from .metrics import evaluate
 from .nifti import read_nifti, write_nifti
 from .phantom import PhantomParams, generate_tree, rasterize_tree, render_intensities
-from .preprocess import PreprocessParams, dynamic_crop, percentile_stretch
+from .preprocess import PreprocessParams, stretch_and_crop
 from .report import COLUMNS, FORMATS, write_report
 from .segmentation import (FloodFillConfig, KeepLargest, KeepSeeded, MinSize,
                            RegionGrowConfig, ThresholdConfig, dual_threshold,
@@ -183,9 +183,8 @@ def cmd_preprocess(args) -> int:
     pre = (_from_json(PreprocessParams, _load_json(args.config), "preprocess")
            if args.config else PreprocessParams())
     volume = read_nifti(args.input)
-    out = percentile_stretch(volume, pre)
-    if pre.crop_enabled:
-        out, box = dynamic_crop(out, pre)
+    out, box = stretch_and_crop(volume, pre)
+    if box is not None:
         _write_json(str(args.output) + ".crop.json", _to_json(box))
     write_nifti(out, args.output)
     print(f"preprocess: wrote {out.dims[0]}x{out.dims[1]}x{out.dims[2]} volume to {args.output}")
@@ -248,10 +247,7 @@ def cmd_segment(args) -> int:
     policies = _policies_from_json(cfg.get("postprocess", []))
 
     volume = read_nifti(in_path)
-    work = percentile_stretch(volume, pre)
-    box = None
-    if pre.crop_enabled:
-        work, box = dynamic_crop(work, pre)
+    work, box = stretch_and_crop(volume, pre)
     local_mask = _run_method(method, work, method_cfg, box, volume.dims[2])
     mask = embed_mask(local_mask, box, volume.dims) if box else local_mask
     reached = local_mask.count() / math.prod(volume.dims) if isinstance(local_mask, GrownMask) else 0.0

@@ -195,7 +195,7 @@ def connected_components(mask: Mask, connectivity: Connectivity = Connectivity.V
     is int32.
     """
     if not mask.data.any():
-        return (np.zeros(mask.dims, dtype=np.int32), np.array([mask.data.size]),
+        return (np.zeros(mask.dims, dtype=np.int32, order="F"), np.array([mask.data.size]),
                 BBox((0, 0, 0), tuple(n - 1 for n in mask.dims)))
     box = bbox_of(mask)
     crop = mask.data[box.slices()]

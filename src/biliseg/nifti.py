@@ -109,7 +109,14 @@ def read_nifti(path, as_mask: bool = False):
         raise _bad("scl_slope", "non-finite scl_slope/scl_inter")
     values = data.astype(np.float32)
     if slope != 0.0:
-        values = values * np.float32(slope) + np.float32(inter)
+        try:
+            # only an overflow is the scale's fault: a NaN or inf stored in
+            # the data is left to the Volume's own check
+            with np.errstate(over="raise"):
+                values = values * np.float32(slope) + np.float32(inter)
+        except FloatingPointError:
+            raise _bad("scl_slope", f"scl_slope {slope:g} and scl_inter {inter:g} scale a value "
+                                    "past float32's range") from None
 
     spacing = Spacing(*pixdim)
     if as_mask:

@@ -91,8 +91,9 @@ def assert_matches_oracles(c_order, conn, offsets):
         by_size = np.zeros(k + 1, dtype=np.int32)
         by_size[np.argsort(-sizes[1:], kind="stable") + 1] = np.arange(1, k + 1)
         assert np.array_equal(by_size[full], want)
-        # a labeling pass, on either route, gives int32 labels as an x-fastest view
-        if data.any() and labels.dtype != np.uint8:
+        # a labeling pass, on either route, and an empty mask give int32
+        # labels as an x-fastest view
+        if labels.dtype != np.uint8:
             assert labels.dtype == np.int32 and labels.flags.f_contiguous
 
 

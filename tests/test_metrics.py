@@ -1,11 +1,16 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import ndimage
 
-from biliseg import (Connectivity, DegenerateInputError, GeometryError, Mask,
-                     Spacing, bbox_of, dice, distance_transform, evaluate, hausdorff,
-                     metrics, rvd, topology_report)
+from biliseg import (Connectivity, DegenerateInputError, FloodFillConfig, GeometryError,
+                     KeepLargest, Mask, MinSize, PhantomParams, RegionGrowConfig, Spacing,
+                     ThresholdConfig, Volume, bbox_of, connected_components, dice,
+                     distance_transform, dual_threshold, evaluate, flood_fill, generate_tree,
+                     hausdorff, metrics, percentile_stretch, postprocess, rasterize_tree,
+                     region_grow, render_intensities, rvd, topology_report)
 from conftest import (directed_hd_edt, hausdorff_brute, ordered_components, place_in_grid,
                       random_mask)
 
@@ -455,3 +460,55 @@ class TestEvaluate:
         assert (rep.dsc, rep.hd_mm, rep.rvd) == (1.0, 0.0, 0.0)
         assert (rep.outliers, rep.missed_components, rep.false_communicating,
                 rep.false_non_communicating) == (0, 0, 0, 0)
+
+
+def swap_xy(data):
+    return data.transpose(1, 0, 2)
+
+
+def unique_largest(mask):
+    """Whether one component of ``mask`` is larger than every other, so that
+    ``KeepLargest`` needs no tie-break on the x-fastest first voxel."""
+    top = np.sort(connected_components(mask)[1][1:])[-2:]
+    return len(top) < 2 or top[0] != top[1]
+
+
+class TestXYSwap:
+    """A metamorphic relation: swapping x and y in the volume, the truth, the
+    spacing and the seed swaps every mask and keeps every metric bit for bit.
+    It needs no oracle and guards the choices that follow the axis order: the
+    one-FACE6 scan in z-slabs, the x-fastest sparse labeling and the blocked
+    Hausdorff search."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(rng_seed=st.integers(0, 2**16), noise=st.floats(6.0, 40.0),
+           dx=st.floats(0.6, 1.4), dy=st.floats(0.6, 1.4))
+    def test_swaps_every_mask_and_keeps_every_metric(self, rng_seed, noise, dx, dy):
+        dims = (26, 22, 10)
+        params = PhantomParams(dims=dims, spacing=Spacing(dx, dy, 1.4),
+                               root=(dims[0] * dx / 2, dims[1] * dy / 2, 1.0),
+                               root_direction=(0.08, 0.04, 1.0), segment_length=5.0,
+                               radius_root=2.0, branch_probability=0.5, branch_angle=30.0,
+                               max_depth=3, noise_std=noise, rng_seed=rng_seed)
+        truth = rasterize_tree(generate_tree(params), dims, params.spacing)
+        volume = percentile_stretch(render_intensities(truth, params))
+        seed = tuple(int(c) for c in np.argwhere(truth.data)[truth.count() // 2])
+        swapped_spacing = Spacing(dy, dx, 1.4)
+        swapped = (Volume(swap_xy(volume.data), swapped_spacing),
+                   Mask(swap_xy(truth.data), swapped_spacing), (seed[1], seed[0], seed[2]))
+        runs = [(lambda v, s, band=band: dual_threshold(v, ThresholdConfig(band, 255.0)), policy)
+                for band in (90.0, 140.0) for policy in (KeepLargest(), MinSize(10))]
+        runs += [(lambda v, s, tol=tol, conn=conn: flood_fill(v, FloodFillConfig(s, tol, conn)),
+                  KeepLargest())
+                 for tol, conn in ((60.0, Connectivity.FACE6), (100.0, Connectivity.VERTEX26))]
+        runs += [(lambda v, s: region_grow(v, RegionGrowConfig(seed=s)), KeepLargest())]
+        for method, policy in runs:
+            raw, raw_swapped = method(volume, seed), method(swapped[0], swapped[2])
+            assert np.array_equal(swap_xy(raw.data), raw_swapped.data)
+            if isinstance(policy, KeepLargest) and not unique_largest(raw):
+                continue
+            mask, mask_swapped = postprocess(raw, [policy]), postprocess(raw_swapped, [policy])
+            assert np.array_equal(swap_xy(mask.data), mask_swapped.data)
+            if mask.count():
+                assert repr(astuple(evaluate(mask, truth))) == repr(astuple(evaluate(mask_swapped,
+                                                                                     swapped[1])))

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import json
 import struct
 import warnings
 
@@ -260,12 +261,20 @@ class TestHeaderEdgeCases:
 
 
 @pytest.fixture(scope="module")
-def small_masks(tmp_path_factory):
-    d = tmp_path_factory.mktemp("masks")
+def small_images(tmp_path_factory):
+    """A truth mask and a volume (int16, the truth near 200 over about 10) of a small
+    case, their NIfTI bytes, and a cropping ``segment`` config."""
+    d = tmp_path_factory.mktemp("images")
     truth = np.zeros((4, 3, 2), dtype=np.uint8)
     truth[1:3, 1, :] = 1
     blob = raw_nifti_bytes(truth, (1.0, 1.0, 2.0), 2)
-    return d, blob, write_raw(d, "truth.nii", blob)
+    volume = raw_nifti_bytes(truth * 190 + 10 + np.arange(24).reshape(4, 3, 2), (1.0, 1.0, 2.0), 4)
+    cfg = d / "segment.json"
+    cfg.write_text(json.dumps({
+        "method": "threshold", "threshold": {"t_min": 100.0, "t_max": 255.0},
+        "preprocess": {"crop_enabled": True, "crop_percentile": 90.0, "crop_margin": 1},
+        "postprocess": [{"policy": "keep_largest"}]}))
+    return d, blob, write_raw(d, "truth.nii", blob), volume, cfg
 
 
 # where read_nifti reads sizeof_hdr, dim, datatype, bitpix, pixdim,
@@ -279,15 +288,20 @@ FIELD_OFFSETS = [0, *range(40, 56, 2), 70, 72, *range(76, 120, 4), 344]
        | st.floats(width=32).map(lambda v: struct.pack("<f", v))
        | st.integers(-2**15, 2**15 - 1).map(lambda v: struct.pack("<h", v)))
 @example(offset=108, patch=struct.pack("<f", float("nan")))
-def test_mutated_header_exits_cleanly(small_masks, offset, patch):
-    """Any bytes written into the header of a prediction give a documented
-    exit code, never an uncaught exception."""
-    d, blob, truth = small_masks
-    mutated = bytearray(blob)
-    mutated[offset:offset + len(patch)] = patch[:348 - offset]
-    pred = write_raw(d, "pred.nii", bytes(mutated))
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main(["evaluate", "--in", str(pred), "--truth", str(truth), "--out", str(d / "r.json")])
-    assert code in (0, 2, 3, 4)
-    assert "Traceback" not in err.getvalue()
+@example(offset=112, patch=struct.pack("<ff", 3e38, 3e38))  # scl_slope, scl_inter
+def test_mutated_header_exits_cleanly(small_images, offset, patch):
+    """Any bytes written into the header of a prediction (through
+    ``evaluate``) or of a volume (through a cropping ``segment``) give a
+    documented exit code, never an uncaught exception."""
+    d, blob, truth, volume, cfg = small_images
+    runs = [(blob, ["evaluate", "--truth", str(truth), "--out", str(d / "r.json")]),
+            (volume, ["segment", "--config", str(cfg), "--out", str(d / "m.nii")])]
+    for image, argv in runs:
+        mutated = bytearray(image)
+        mutated[offset:offset + len(patch)] = patch[:348 - offset]
+        path = write_raw(d, "in.nii", bytes(mutated))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([*argv, "--in", str(path)])
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in err.getvalue()

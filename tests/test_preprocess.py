@@ -4,8 +4,10 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from biliseg import (BBox, ConfigError, Connectivity, DegenerateInputError, GeometryError, Mask,
-                     PreprocessParams, Spacing, Volume, dynamic_crop, embed_mask, percentile_stretch)
-from biliseg.preprocess import _percentiles
+                     PhantomParams, PreprocessParams, Spacing, Volume, bbox_of, dynamic_crop,
+                     embed_mask, generate_tree, percentile_stretch, rasterize_tree,
+                     render_intensities, stretch_and_crop)
+from biliseg.preprocess import _percentiles, _sorted_values
 from conftest import ordered_components, traced_peak
 
 SP = Spacing(1.0, 1.0, 1.0)
@@ -50,7 +52,7 @@ class TestPercentiles:
     @given(data=float32_volumes(), qs=st.lists(PERCENTS, min_size=1, max_size=2))
     def test_equals_numpy_on_the_float64_copy(self, data, qs):
         want = np.percentile(data.astype(np.float64), qs)
-        got = _percentiles(data, qs)
+        got = _percentiles(_sorted_values(data), qs)
         assert got.dtype == np.float64 and np.array_equal(got, want)
         zeros = np.signbit(data[data == 0])
         if not (zeros.any() and not zeros.all()):
@@ -209,6 +211,67 @@ class TestDynamicCrop:
             inside = np.zeros_like(largest)
             inside[box.slices()] = True
             assert (largest <= inside).all()
+
+
+@st.composite
+def preprocess_params(draw):
+    """Stretch bounds including the full range, a crop percentile anywhere,
+    past ``p_high`` (where the stretch clamps to 255) included, crop on or off."""
+    p_low, p_high = draw(st.sampled_from([(0, 100), (1.0, 99.0), (1.0, 99.9)])
+                         | st.lists(st.floats(0, 100), min_size=2, max_size=2, unique=True).map(sorted))
+    crop_percentile = draw(st.sampled_from([p_high, 99.5, 100]) | st.floats(p_high, 100) | PERCENTS)
+    return PreprocessParams(p_low=p_low, p_high=p_high, crop_enabled=draw(st.booleans()),
+                            crop_percentile=crop_percentile, crop_margin=draw(st.integers(0, 3)))
+
+
+def outcome(run):
+    """``(data bytes, x-fastest, box)`` of a preprocessing run, or the text of
+    the ``DegenerateInputError`` it raised."""
+    try:
+        volume, box = run()
+    except DegenerateInputError as e:
+        return str(e)
+    return volume.data.tobytes("A"), volume.data.flags.f_contiguous, box
+
+
+def crop_oracle(volume, params):
+    """``dynamic_crop`` written out: the percentile from ``np.percentile`` of a
+    float64 copy, the largest bright component from the reference labeling."""
+    data = volume.data
+    if data.min() == data.max():
+        raise DegenerateInputError("constant volume has no croppable structure")
+    bright = data >= np.percentile(data.astype(np.float64), params.crop_percentile)
+    labels, _ = ordered_components(bright, Connectivity.VERTEX26)
+    box = bbox_of(Mask(labels == 1, SP), params.crop_margin)
+    return Volume(data[box.slices()], SP), box
+
+
+class TestStretchAndCrop:
+    @settings(max_examples=300, deadline=None)
+    @given(data=float32_volumes(), params=preprocess_params())
+    def test_equals_the_stretch_then_the_crop(self, data, params):
+        volume = Volume(data, SP)
+        got = outcome(lambda: stretch_and_crop(volume, params))
+        stretched = percentile_stretch(volume, params)
+        if not params.crop_enabled:
+            assert got == outcome(lambda: (stretched, None))
+            return
+        assert got == outcome(lambda: dynamic_crop(stretched, params))
+        assert got == outcome(lambda: crop_oracle(stretched, params))
+
+    def test_peak_memory_is_below_two_grids(self):
+        # stretching the grid, then sorting it for the crop, held 2.75 grids;
+        # one sort of the raw values, freed before the labeling, and the
+        # stretch of the box alone hold under 2
+        params = PhantomParams(dims=(128, 128, 48), spacing=Spacing(0.9, 0.9, 1.4),
+                               root=(57.6, 57.6, 1.0), root_direction=(0.08, 0.04, 1.0),
+                               segment_length=16.8, radius_root=3.5, radius_taper=0.85,
+                               branch_probability=0.5, branch_angle=15.0, max_depth=4,
+                               fg_mean=200.0, bg_mean=10.0, noise_std=30.0, rng_seed=1000)
+        volume = render_intensities(rasterize_tree(generate_tree(params), params.dims, params.spacing),
+                                    params)
+        pre = PreprocessParams(p_low=1.0, p_high=99.9, crop_enabled=True, crop_percentile=99.5)
+        assert traced_peak(stretch_and_crop, volume, pre) <= 2 * volume.data.nbytes
 
 
 class TestEmbedMask:
