@@ -90,34 +90,26 @@ def _percentiles(flat: np.ndarray, qs, f=_same) -> np.ndarray:
     return np.array(values)
 
 
-def _stretch(src: np.ndarray, lo: float, hi: float, out: np.ndarray | None = None) -> np.ndarray:
+def _stretch(src: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """``clip((src - lo) / (hi - lo), 0, 1) * 255`` in float64, rounded once
-    to float32 (into ``out`` when given); all zeros when ``hi <= lo``.
+    to float32; all zeros when ``hi <= lo``.
 
     Every step is a correctly rounded IEEE operation, a clip or a cast, so
     the map is monotone non-decreasing and gives a value the same bits
     wherever it meets it: in a z-slab of the grid or as an order statistic.
     """
-    if out is None:
-        out = np.empty(src.shape, np.float32)
     if hi <= lo:
-        out[...] = 0.0
-        return out
-    t = src.astype(np.float64)
-    t -= lo
-    t /= hi - lo
-    np.clip(t, 0.0, 1.0, out=t)
-    t *= 255.0
-    out[...] = t
-    return out
+        return np.zeros(src.shape, np.float32)
+    return (np.clip((src.astype(np.float64) - lo) / (hi - lo), 0.0, 1.0) * 255.0).astype(np.float32)
 
 
 def _stretched_grid(data: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """``_stretch`` of a grid, x-fastest, one z-slab at a time, so that no
-    float64 copy of the grid is made."""
+    """``_stretch`` of a grid, x-fastest, computed one z-slab at a time and
+    written into the float32 output, so that no float64 copy of the grid is
+    made."""
     out = np.empty(data.shape, np.float32, order="F")
     for src, dst in zip(data.T, out.T):
-        _stretch(src, lo, hi, dst)
+        dst[...] = _stretch(src, lo, hi)
     return out
 
 
@@ -140,15 +132,16 @@ def _bright_cut(flat: np.ndarray, f, q: float) -> np.float32:
     percentile of ``f(grid)``, from the grid's sorted values ``flat``, so
     that the crop's bright set ``f(grid) >= percentile`` is ``grid >= c``.
     ``f`` is monotone non-decreasing, so the values that reach the percentile
-    are a suffix of ``flat``, found by bisection; with none, ``c`` is inf.
-    A constant ``f(grid)`` raises ``DegenerateInputError``.
+    are a suffix of ``flat``, found by bisection. The interpolated percentile
+    never exceeds ``f(flat[-1])``, so that suffix is never empty. A constant
+    ``f(grid)`` raises ``DegenerateInputError``.
     """
     ends = f(flat[[0, -1]])
     if ends[0] == ends[1]:
         raise DegenerateInputError("constant volume has no croppable structure")
     threshold = _percentiles(flat, (q,), f)[0]
     j = bisect.bisect_left(range(flat.size), True, key=lambda k: f(flat[k:k + 1])[0] >= threshold)
-    return flat[j] if j < flat.size else np.float32(np.inf)
+    return flat[j]
 
 
 def _bright_box(volume: Volume, cut: np.float32, margin: int) -> BBox:

@@ -183,8 +183,10 @@ def sauvola_threshold_field(slice_values: np.ndarray, k: float, R: float, window
     deviation over the ``window`` x ``window`` window centered on the pixel.
     Window sums come from summed-area tables; border windows are clipped, and
     each pixel's mean/std covers exactly the in-bounds part of its window.
-    The work runs on a C-ordered float64 copy of the slice, whatever its
-    layout, and the result is C-ordered.
+    m, s and T are computed as written above, over a C-ordered float64 copy
+    of the slice, whatever its layout, and the result is C-ordered.
+    ``region_grow`` calls it once per slice, so no float64 copy of the grid
+    is made.
     """
     a = np.array(slice_values, dtype=np.float64, order="C")
     nx, ny = a.shape
@@ -202,28 +204,14 @@ def sauvola_threshold_field(slice_values: np.ndarray, k: float, R: float, window
         np.cumsum(inner, axis=1, out=inner)
         t[h + 1:h + 1 + nx, h + 1 + ny:] = inner[:, -1:]
         t[h + 1 + nx:] = t[h + nx]
-        sums = t[w:, w:] - t[:-w, w:]
-        sums -= t[w:, :-w]
-        sums += t[:-w, :-w]
-        return sums
+        return t[w:, w:] - t[:-w, w:] - t[w:, :-w] + t[:-w, :-w]
 
     spans = [np.minimum(np.arange(n) + h + 1, n) - np.maximum(np.arange(n) - h, 0) for n in (nx, ny)]
     count = np.outer(*spans)
-    # in place, in the operation order of m * (1 + k * (s / R - 1))
-    m = window_sums(a)
-    m /= count
-    field = window_sums(np.multiply(a, a, out=a))
-    field /= count
-    field -= m * m
-    np.maximum(field, 0.0, out=field)
-    np.sqrt(field, out=field)  # the window's std s
-    with np.errstate(over="ignore"):  # a subnormal R: s / R is inf, and so is the threshold
-        field /= R
-    field -= 1.0
-    field *= k
-    field += 1.0
-    field *= m
-    return field
+    m = window_sums(a) / count
+    s = np.sqrt(np.maximum(window_sums(a * a) / count - m * m, 0.0))
+    with np.errstate(over="ignore"):  # a subnormal R: s / R, and so the threshold, can be inf
+        return m * (1 + k * (s / R - 1))
 
 
 def region_grow(volume: Volume, cfg: RegionGrowConfig) -> GrownMask:

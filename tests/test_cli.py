@@ -13,9 +13,10 @@ import pytest
 import scipy.ndimage
 from hypothesis import example, given, settings, strategies as st
 
-from biliseg import Mask, Spacing, __version__, read_nifti, write_nifti
+from biliseg import Mask, PreprocessParams, Spacing, __version__, read_nifti, stretch_and_crop, write_nifti
 import biliseg.cli
 from biliseg.cli import main
+from biliseg.core import in_bounds
 from biliseg.phantom import MAX_SEGMENTS, MAX_VOXELS
 
 PHANTOM = {
@@ -54,6 +55,8 @@ def demo_volume(tmp_path_factory):
     return vol
 
 
+SEED_OUTSIDE_DEMO_CROP = [5, 5, 2]
+
 # configs/segment_demo.json with one value made invalid: (method, edit)
 BAD_SEGMENT_VALUES = {
     "floodfill-not-an-object": ("floodfill", lambda c: c.update(floodfill=5)),
@@ -88,6 +91,8 @@ BAD_SEGMENT_VALUES = {
     "postprocess-object": ("regiongrow", lambda c: c.update(postprocess={"policy": "keep_largest"})),
     "keep_seeded-no-seeds": ("regiongrow", lambda c: c.update(
         postprocess=[{"policy": "keep_seeded", "seeds": []}])),
+    # inside the 96x96x32 demo grid, outside its crop box (checked below)
+    "seed-outside-the-crop-box": ("floodfill", lambda c: c["floodfill"].update(seed=SEED_OUTSIDE_DEMO_CROP)),
 }
 
 
@@ -136,6 +141,16 @@ class TestPhantomCommand:
                    "--out-volume", str(tmp_path / "v.nii"),
                    "--out-truth", str(tmp_path / "t.nii")])
         assert rc == 2
+
+    def test_zero_dim_exit_2(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "p.json", dict(PHANTOM, dims=[0, 8, 8]))
+        rc = main(["phantom", "--config", cfg,
+                   "--out-volume", str(tmp_path / "v.nii"),
+                   "--out-truth", str(tmp_path / "t.nii")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "dims must be three positive integers" in err
+        assert not (tmp_path / "v.nii").exists() and not (tmp_path / "t.nii").exists()
 
     def test_negative_rng_seed_exit_2(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "p.json", dict(PHANTOM, rng_seed=-1))
@@ -533,6 +548,14 @@ class TestSegmentCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert not out.exists()
+
+    def test_seed_outside_the_demo_crop_box_lies_in_the_grid(self, demo_volume):
+        # so that its BAD_SEGMENT_VALUES case fails on the crop box, not the grid
+        volume = read_nifti(demo_volume)
+        preprocess = json.loads((CONFIGS / "segment_demo.json").read_text())["preprocess"]
+        _, box = stretch_and_crop(volume, PreprocessParams(**preprocess))
+        seed = SEED_OUTSIDE_DEMO_CROP
+        assert in_bounds(seed, volume.dims) and not in_bounds(np.subtract(seed, box.lo), box.shape())
 
     @pytest.mark.parametrize("case", ["no-paths", "method-flag-without-section"])
     def test_unrunnable_invocation_exit_2(self, tmp_path, demo_volume, capsys, case):

@@ -40,6 +40,11 @@ class TestVolume:
         with pytest.raises(GeometryError):
             Volume(np.zeros((2, 2)), SP)
 
+    @pytest.mark.parametrize("cls", [Volume, Mask])
+    def test_rejects_a_zero_length_axis(self, cls):
+        with pytest.raises(GeometryError, match=">= 1"):
+            cls(np.zeros((2, 0, 2)), SP)
+
     def test_data_is_read_only(self):
         v = Volume(np.zeros((2, 2, 2)), SP)
         with pytest.raises(ValueError):
@@ -277,6 +282,10 @@ class TestBBox:
     def test_empty_mask_rejected(self):
         with pytest.raises(DegenerateInputError):
             bbox_of(Mask(np.zeros((3, 3, 3), bool), SP))
+
+    def test_lo_past_hi_rejected(self):
+        with pytest.raises(GeometryError, match="degenerate box"):
+            BBox((0, 3, 0), (2, 2, 2))
 
     def test_negative_margin_rejected(self):
         with pytest.raises(ConfigError):

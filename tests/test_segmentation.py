@@ -232,6 +232,32 @@ class TestSauvola:
                 digest.update(sauvola_threshold_field(s, k, R, window).tobytes())
         assert digest.hexdigest() == "ee37753d20c6e7bc62abbcd566a7e49b15ecf1b3008220bd90b431460732ebde"
 
+    def test_overflowing_field_bytes_are_pinned(self):
+        # a subnormal R makes s / R inf in some windows only: the same slice
+        # kinds, with non-negative values over twenty decades, so that no
+        # threshold is 0 * inf
+        rng = np.random.default_rng(16)
+
+        def values(shape):
+            return rng.uniform(0, 255, shape) * 10.0 ** -rng.integers(0, 20, shape)
+
+        slices = [values((13, 8)),
+                  np.asfortranarray(values((7, 11))),
+                  values((1, 9)),
+                  values((6, 1)),
+                  rng.integers(0, 4, (10, 10)) * 10.0 ** -rng.integers(0, 20, (10, 10)),
+                  values((9, 7, 3)).astype(np.float32)[:, :, 1]]
+        digest = hashlib.sha256()
+        inf = size = 0
+        for s in slices:
+            for window, k, R in ((3, 0.3, 5e-324), (5, 0.2, 1e-310), (9, 0.5, 2.2e-308), (41, 0.3, 1e-310)):
+                field = sauvola_threshold_field(s, k, R, window)
+                inf += int(np.isinf(field).sum())
+                size += field.size
+                digest.update(field.tobytes())
+        assert 0 < inf < size  # both finite and inf thresholds
+        assert digest.hexdigest() == "c694800e34ece8a294ca4f19478759df785e27fdeea5e814ee79dc1f40d20e37"
+
 
 def straight_tube_case(dims=(24, 24, 8), spacing=Spacing(1, 1, 1.5), radius=3.0,
                        fg=200.0, bg=10.0):
