@@ -4,11 +4,14 @@ from __future__ import annotations
 import os
 
 
-def atomic_write(path, *chunks) -> None:
-    """Write bytes-like ``chunks`` (bytes, C-contiguous arrays) to ``path`` in order, atomically.
+def atomic_write(path, chunks) -> None:
+    """Write the bytes-like items of ``chunks`` (bytes, C-contiguous arrays) to
+    ``path`` in order, atomically.
 
-    They go to ``path.tmp``, which then replaces ``path``; on any failure the
-    temp file is removed and ``path`` is left as it was.
+    ``chunks`` is any iterable; a generator is written item by item as it
+    yields, so its output is never held whole. The bytes go to ``path.tmp``,
+    which then replaces ``path``; on any failure, the generator's own
+    included, the temp file is removed and ``path`` is left as it was.
     """
     path = os.fspath(path)
     tmp = path + ".tmp"

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -22,7 +23,7 @@ import numpy as np
 from . import __version__
 from .core import Connectivity, GrownMask, Mask, connected_components, embed_mask
 from .errors import BilisegError, ConfigError, DegenerateInputError
-from .mesh import extract_surface_mesh, write_stl
+from .mesh import stream_stl
 from .metrics import evaluate
 from .nifti import read_nifti, write_nifti
 from .phantom import PhantomParams, generate_tree, rasterize_tree, render_intensities
@@ -139,7 +140,7 @@ def _encode(value):
 
 
 def _write_json(path, doc) -> None:
-    atomic_write(path, (json.dumps(doc, indent=2) + "\n").encode("utf-8"))
+    atomic_write(path, [(json.dumps(doc, indent=2) + "\n").encode("utf-8")])
 
 
 POLICIES = {"keep_largest": KeepLargest, "min_size": MinSize, "keep_seeded": KeepSeeded}
@@ -343,10 +344,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_mesh(args) -> int:
-    mask = read_nifti(args.input, as_mask=True)
-    mesh = extract_surface_mesh(mask)
-    write_stl(mesh, args.output)
-    print(f"mesh: {len(mesh)} triangles -> {args.output}")
+    count = stream_stl(read_nifti(args.input, as_mask=True), args.output)
+    print(f"mesh: {count} triangles -> {args.output}")
     return 0
 
 
@@ -400,9 +399,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser per process: building it costs more than a parse
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:

@@ -163,4 +163,4 @@ def write_nifti(obj, path) -> None:
     hdr["xyzt_units"] = 2  # mm
     hdr["descrip"] = b"biliseg"
     hdr["magic"] = b"n+1"
-    atomic_write(path, hdr, bytes(VOX_OFFSET - HEADER_SIZE), body.T)
+    atomic_write(path, [hdr, bytes(VOX_OFFSET - HEADER_SIZE), body.T])

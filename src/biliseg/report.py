@@ -110,4 +110,4 @@ def write_report(rows, fmt: str, path, anova) -> None:
                 f"{res.f_stat:.6g}, p = {res.p_value:.6f}{star}"
             )
         text = "\n".join(lines) + "\n"
-    atomic_write(path, text.encode("utf-8"))
+    atomic_write(path, [text.encode("utf-8")])

@@ -819,12 +819,13 @@ class TestMeshCommand:
         write_nifti(Mask(np.ones((4, 4, 3), bool), Spacing(3e38, 3e38, 3e38)), tmp_path / "m.nii")
         assert main(["mesh", "--in", str(tmp_path / "m.nii"), "--out", str(tmp_path / "m.stl")]) == 2
         assert "float32" in capsys.readouterr().err
-        assert not (tmp_path / "m.stl").exists()
+        assert os.listdir(tmp_path) == ["m.nii"]  # neither m.stl nor m.stl.tmp
 
     def test_empty_mask_exit_4(self, tmp_path):
         write_nifti(Mask(np.zeros((4, 4, 4), bool), Spacing(1, 1, 1)), tmp_path / "e.nii")
         assert main(["mesh", "--in", str(tmp_path / "e.nii"),
                      "--out", str(tmp_path / "e.stl")]) == 4
+        assert os.listdir(tmp_path) == ["e.nii"]  # neither e.stl nor e.stl.tmp
 
 
 class TestPreprocessCommand:
@@ -1004,6 +1005,23 @@ class TestUsage:
 
     def test_missing_required_flag_exit_2(self):
         assert main(["mesh", "--in", "x.nii"]) == 2
+
+    def test_one_parser_serves_every_call_as_a_fresh_one_would(self, capsys):
+        def parse(parser, argv):
+            try:
+                result = vars(parser.parse_args(argv))
+            except SystemExit as e:
+                result = e.code
+            return result, capsys.readouterr()
+
+        shared = biliseg.cli._parser()
+        compare = ["compare", "--group", "a", "1.json", "2.json", "--group", "b", "3.json", "--out", "c.json"]
+        for argv in (["mesh", "--in", "x.nii"],  # usage error, exit 2
+                     ["mesh", "--in", "x.nii", "--out", "y.stl"],
+                     ["evaluate", "--in", "p.nii", "--truth", "t.nii", "--out", "r.json"],
+                     compare, compare, ["--version"], ["mesh", "--help"]):
+            assert parse(shared, argv) == parse(biliseg.cli.build_parser(), argv)
+        assert biliseg.cli._parser() is shared
 
 
 class TestImports:

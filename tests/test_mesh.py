@@ -1,12 +1,16 @@
 import struct
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import biliseg.mesh
 from biliseg import (DegenerateInputError, FormatError, GeometryError, Mask, Spacing,
-                     extract_surface_mesh, write_stl)
-from biliseg.mesh import TRIANGLE_RECORD, read_stl
+                     extract_surface_mesh, write_nifti, write_stl)
+from biliseg.cli import main
+from biliseg.mesh import STL_HEADER, TRIANGLE_RECORD, read_stl, stream_stl
 from conftest import random_mask, surface_faces_walk
 
 SP = Spacing(1.0, 1.0, 1.0)
@@ -167,3 +171,43 @@ class TestStl:
         path.write_bytes(blob)
         with pytest.raises(FormatError):
             read_stl(path)
+
+
+class TestStream:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_streamed_bytes_equal_written_mesh(self, tmp_path_factory, data):
+        dims = tuple(data.draw(st.integers(1, 5)) for _ in range(3))
+        bits = data.draw(st.lists(st.booleans(), min_size=int(np.prod(dims)),
+                                  max_size=int(np.prod(dims))))
+        grid = np.array(bits, dtype=bool).reshape(dims, order=data.draw(st.sampled_from("CF")))
+        grid[tuple(data.draw(st.integers(0, n - 1)) for n in dims)] = True
+        mask = Mask(grid, Spacing(*(data.draw(st.floats(0.05, 20.0)) for _ in range(3))))
+        vertices, normals = surface_faces_walk(grid, mask.spacing.as_tuple())
+        expected = np.zeros(len(vertices), dtype=TRIANGLE_RECORD)
+        expected["vertices"] = vertices
+        expected["normal"] = normals
+        blob = STL_HEADER.ljust(80, b"\x00") + struct.pack("<I", len(expected)) + expected.tobytes()
+        d = tmp_path_factory.mktemp("stream")
+        # chunks of one to five faces put a boundary inside every direction block
+        with mock.patch.object(biliseg.mesh, "_FILL_FACES", data.draw(st.integers(1, 5))):
+            assert stream_stl(mask, d / "streamed.stl") == len(expected)
+            write_stl(extract_surface_mesh(mask), d / "written.stl")
+        assert (d / "streamed.stl").read_bytes() == blob
+        assert (d / "written.stl").read_bytes() == blob
+
+    def test_mesh_peak_memory_is_per_chunk(self, tmp_path):
+        # isolated voxels: 6 faces each, 162,000 triangles (an 8.1 MB file)
+        grid = np.indices((30, 30, 30)).sum(axis=0) % 2 == 0
+        write_nifti(Mask(grid, SP), tmp_path / "m.nii")
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert main(["mesh", "--in", str(tmp_path / "m.nii"), "--out", str(tmp_path / "m.stl")]) == 0
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        triangles = 12 * int(grid.sum())
+        assert len(read_stl(tmp_path / "m.stl")) == triangles
+        # a whole mesh alone is 50 B per triangle; the face indices are 12
+        assert peak < 25 * triangles
