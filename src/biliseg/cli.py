@@ -130,13 +130,13 @@ def _to_json(obj) -> dict:
 
 
 def _encode(value):
-    if isinstance(value, IntEnum):
-        return int(value)
+    """``value`` with the two rules ``json.dumps`` lacks applied: integer keys
+    in numeric order, and ``{}`` for an unset ``per_slice_overrides``.
+    ``json.dumps`` itself writes an ``IntEnum`` as its integer and a tuple as
+    a list."""
     if isinstance(value, dict):
-        return {str(k): _encode(v) for k, v in sorted(value.items())}
-    if isinstance(value, tuple):
-        return [_encode(v) for v in value]
-    return {} if value is None else value  # an unset per_slice_overrides
+        return dict(sorted(value.items()))
+    return {} if value is None else value
 
 
 def _write_json(path, doc) -> None:

@@ -267,8 +267,9 @@ def _label_sparse(crop: np.ndarray, connectivity: Connectivity) -> tuple[np.ndar
     return raw.T, sizes
 
 
-# voxels per slab of the isolated-voxel scan, about one plane of a 128x128x48 grid,
-# so a noisy mask is rejected after a small fraction of its box
+# voxels in the slab of the isolated-voxel scan, about one plane of a 128x128x48 grid:
+# the first z-slab of that size rejects most noisy masks at a small fraction of
+# their box, and the labeling decides the rest
 _SLAB_VOXELS = 1 << 14
 
 
@@ -278,31 +279,25 @@ def _one_face6_component(crop: np.ndarray) -> bool:
 
     A foreground voxel with no FACE6 neighbour is a component of its own, so
     a box that holds more than that voxel holds several. The scan for such a
-    voxel runs in z-slabs and stops at the first slab that has one, so most
-    noisy masks are rejected without a labeling pass. Only a mask without
-    one gets a FACE6 labeling.
+    voxel looks at the first z-slab of about ``_SLAB_VOXELS`` voxels only,
+    with the plane after it as its halo, so most noisy masks are rejected
+    without a labeling pass. Every other mask gets one FACE6 labeling, which
+    also rejects any mask with such a voxel past the first slab.
     """
     if crop.size == 1:
         return True
     a = crop.T
-    n = a.shape[0]
-    step = max(1, _SLAB_VOXELS // (a.shape[1] * a.shape[2]))
-    for i in range(0, n, step):
-        j = min(i + step, n)
-        slab = a[i:j]
-        near = np.zeros_like(slab)  # some FACE6 neighbour is foreground
-        near[1:] |= slab[:-1]
-        near[:-1] |= slab[1:]
-        near[:, 1:] |= slab[:, :-1]
-        near[:, :-1] |= slab[:, 1:]
-        near[:, :, 1:] |= slab[:, :, :-1]
-        near[:, :, :-1] |= slab[:, :, 1:]
-        if i > 0:
-            near[0] |= a[i - 1]
-        if j < n:
-            near[-1] |= a[j]
-        if (slab > near).any():  # a foreground voxel without a foreground neighbour
-            return False
+    k = max(1, _SLAB_VOXELS // (a.shape[1] * a.shape[2]))  # planes in the first slab
+    slab = a[:k + 1]  # the first slab and its halo plane, if the box has one
+    near = np.zeros_like(slab)  # some FACE6 neighbour is foreground
+    near[1:] |= slab[:-1]
+    near[:-1] |= slab[1:]
+    near[:, 1:] |= slab[:, :-1]
+    near[:, :-1] |= slab[:, 1:]
+    near[:, :, 1:] |= slab[:, :, :-1]
+    near[:, :, :-1] |= slab[:, :, 1:]
+    if (slab[:k] > near[:k]).any():  # a foreground voxel without a foreground neighbour
+        return False
     _, count = ndimage.label(a, structure=Connectivity.FACE6.structure())
     return count == 1
 

@@ -84,7 +84,7 @@ def extract_surface_mesh(mask: Mask) -> np.ndarray:
     """
     count, chunks = _surface(mask)
     mesh = np.empty(count, dtype=TRIANGLE_RECORD)
-    records = mesh.view(np.void)  # copied as 50 B blocks; a field-by-field copy is ten times slower
+    records = mesh.view(np.void)  # 50 B blocks: a field-by-field copy took 1.25-1.4x as long
     start = 0
     for chunk in chunks:
         records[start:start + len(chunk)] = chunk.view(np.void)

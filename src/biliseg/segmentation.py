@@ -121,9 +121,6 @@ class MinSize:
             raise ConfigError(f"minimum component size must be >= 1, got {self.voxels}")
 
 
-PostprocessPolicy = KeepLargest | KeepSeeded | MinSize
-
-
 # ---------------------------------------------------------------------------
 # methods
 

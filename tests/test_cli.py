@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -334,25 +335,45 @@ class TestSegmentCommand:
     DEMO_SIDECAR = (
         '{"tool": "biliseg", "version": "VERSION", "command": "segment", "input": "IN", "output": "OUT", '
         '"method": "METHOD", "preprocess": {"p_low": 1.0, "p_high": 99.9, "crop_enabled": true, '
-        '"crop_percentile": 99.5, "crop_margin": 5}, SECTION, "postprocess": [{"policy": "keep_largest"}], '
-        '"derived": {"crop_bbox": {"lo": [40, 30, 0], "hi": [62, 65, 31]}, "mask_voxels": 1578}}')
+        '"crop_percentile": 99.5, "crop_margin": 5}, SECTION, "postprocess": [POLICY], '
+        '"derived": {"crop_bbox": {"lo": [40, 30, 0], "hi": [62, 65, 31]}, "mask_voxels": VOXELS}}')
     DEMO_SECTIONS = {
         "threshold": '"threshold": {"t_min": 120.0, "t_max": 255.0, "per_slice_overrides": {}}',
         "floodfill": '"floodfill": {"seed": [48, 48, 2], "tolerance": 80.0, "connectivity": 6}',
         "regiongrow": ('"regiongrow": {"seed": [48, 48, 2], "k": 0.3, "R": 100.0, "window": 3, '
                        '"in_slice_connectivity": 4, "propagate_slices": true}'),
     }
+    # the demo config with per-slice overrides keyed 10 and 2 (written back in
+    # numeric order, which is not their string order), a keep_seeded policy
+    # (a tuple of tuples) and a flood-fill connectivity of 26 (an IntEnum)
+    ENCODER_EDIT = {
+        "threshold": {"t_min": 120.0, "t_max": 255.0,
+                      "per_slice_overrides": {"10": [130.0, 250.0], "2": [100.0, 255.0]}},
+        "floodfill": {"seed": [48, 48, 2], "tolerance": 80.0, "connectivity": 26},
+        "postprocess": [{"policy": "keep_seeded", "seeds": [[48, 48, 2]]}],
+    }
+    ENCODER_SECTIONS = {
+        "threshold": ('"threshold": {"t_min": 120.0, "t_max": 255.0, '
+                      '"per_slice_overrides": {"2": [100.0, 255.0], "10": [130.0, 250.0]}}', 1566),
+        "floodfill": ('"floodfill": {"seed": [48, 48, 2], "tolerance": 80.0, "connectivity": 26}', 1578),
+    }
 
     def test_demo_sidecar_text_is_pinned(self, tmp_path, demo_volume):
-        for method, section in self.DEMO_SECTIONS.items():
-            out = tmp_path / f"{method}.nii"
+        demo = CONFIGS / "segment_demo.json"
+        edited = write_json(tmp_path / "edited.json", dict(json.loads(demo.read_text()), **self.ENCODER_EDIT))
+        cases = [(method, str(demo), section, '{"policy": "keep_largest"}', 1578)
+                 for method, section in self.DEMO_SECTIONS.items()]
+        cases += [(method, edited, section, '{"policy": "keep_seeded", "seeds": [[48, 48, 2]]}', voxels)
+                  for method, (section, voxels) in self.ENCODER_SECTIONS.items()]
+        for i, (method, cfg, section, policy, voxels) in enumerate(cases):
+            out = tmp_path / f"{i}.nii"
             assert main(["segment", "--in", str(demo_volume), "--out", str(out), "--method", method,
-                         "--config", str(CONFIGS / "segment_demo.json")]) == 0
+                         "--config", cfg]) == 0
             pinned = (self.DEMO_SIDECAR.replace("VERSION", __version__).replace("METHOD", method)
                       .replace('"IN"', json.dumps(str(demo_volume))).replace('"OUT"', json.dumps(str(out)))
-                      .replace("SECTION", section))
+                      .replace("SECTION", section).replace("POLICY", policy).replace("VOXELS", str(voxels)))
             want = json.dumps(json.loads(pinned), indent=2) + "\n"
-            assert (tmp_path / f"{method}.nii.provenance.json").read_text() == want
+            assert (tmp_path / f"{i}.nii.provenance.json").read_text() == want, (method, cfg)
 
     # SHA-256 of the masks segment writes for configs/segment_demo.json under
     # every --method, with its own postprocess and with CHAIN, crop on and off,
@@ -1122,6 +1143,14 @@ def scratch_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("surface")
 
 
+def fresh(scratch_dir) -> Path:
+    """A new directory in ``scratch_dir`` for one Hypothesis example. Rewriting
+    the same paths on every example waits for the file system to write back
+    their last version, and removing them after each example stalls the same
+    way, so every example writes to new paths and nothing is removed."""
+    return Path(tempfile.mkdtemp(dir=scratch_dir))
+
+
 class TestConfigSurface:
     @settings(max_examples=120, deadline=None)
     @given(path=st.sampled_from(sorted(value_paths(SEGMENT_DEMO), key=str)),
@@ -1132,12 +1161,13 @@ class TestConfigSurface:
     @example(path=("threshold", "t_max"), method="threshold", value=1.7976931348623157e308)
     @example(path=("threshold", "t_min"), method="threshold", value=-1e39)
     def test_any_segment_value_exits_cleanly(self, demo_volume, scratch_dir, path, method, value):
+        d = fresh(scratch_dir)
         doc = replaced(dict(SEGMENT_DEMO, method=method), path, value)
         if path[0] in SEGMENT_METHODS:
             doc["method"] = path[0]  # run the method whose section was changed
-        cfg = write_json(scratch_dir / "seg.json", doc)
+        cfg = write_json(d / "seg.json", doc)
         code, err = run_quietly(["segment", "--in", str(demo_volume),
-                                 "--out", str(scratch_dir / "m.nii"), "--config", cfg])
+                                 "--out", str(d / "m.nii"), "--config", cfg])
         assert code in (0, 2, 3, 4)
         assert "Traceback" not in err
 
@@ -1145,11 +1175,12 @@ class TestConfigSurface:
     @given(st.sampled_from(sorted(PHANTOM_DEMO)).flatmap(lambda key: st.tuples(
         st.just(key), NON_NUMBERS | SMALL_FLOATS if type(PHANTOM_DEMO[key]) is int else NON_NUMBERS)))
     def test_wrong_phantom_type_exits_2(self, scratch_dir, edit):
+        d = fresh(scratch_dir)
         key, value = edit
-        cfg = write_json(scratch_dir / "phantom.json", dict(PHANTOM_DEMO, **{key: value}))
-        volume = scratch_dir / "v.nii"
+        cfg = write_json(d / "phantom.json", dict(PHANTOM_DEMO, **{key: value}))
+        volume = d / "v.nii"
         code, err = run_quietly(["phantom", "--config", cfg, "--out-volume", str(volume),
-                                 "--out-truth", str(scratch_dir / "t.nii")])
+                                 "--out-truth", str(d / "t.nii")])
         assert code == 2 and err.startswith("error: ")
         assert not volume.exists()
 
@@ -1159,10 +1190,11 @@ class TestConfigSurface:
                      st.floats(allow_nan=False, allow_infinity=False)))
     @example(("branch_angle", -0.0))  # passes the >= 0 check, then bounds rng.uniform(0.0, -0.0)
     def test_any_phantom_float_exits_cleanly(self, scratch_dir, edit):
+        d = fresh(scratch_dir)
         key, value = edit
-        code, err = run_quietly(["phantom", "--config", write_json(scratch_dir / "phantom.json",
+        code, err = run_quietly(["phantom", "--config", write_json(d / "phantom.json",
                                                                    dict(PHANTOM_DEMO, **{key: value})),
-                                 "--out-volume", str(scratch_dir / "v.nii"), "--out-truth", str(scratch_dir / "t.nii")])
+                                 "--out-volume", str(d / "v.nii"), "--out-truth", str(d / "t.nii")])
         assert code in (0, 2, 3, 4)
         assert "Traceback" not in err
 
@@ -1177,15 +1209,15 @@ class TestConfigSurface:
     @example(("dims", [256, 256, 257]))
     @example(("max_depth", 12))
     def test_phantom_size_past_a_cap_exits_2(self, scratch_dir, edit):
+        d = fresh(scratch_dir)
         key, value = edit
         params = dict(PHANTOM_DEMO, **{key: value})
         assert PHANTOM_DEMO["branch_probability"] > 0
         over = (math.prod(params["dims"]) > MAX_VOXELS
                 or 2 ** min(params["max_depth"] + 1, 64) - 1 > MAX_SEGMENTS)
-        volume = scratch_dir / "v.nii"
-        volume.unlink(missing_ok=True)
-        code, err = run_quietly(["phantom", "--config", write_json(scratch_dir / "phantom.json", params),
-                                 "--out-volume", str(volume), "--out-truth", str(scratch_dir / "t.nii")])
+        volume = d / "v.nii"
+        code, err = run_quietly(["phantom", "--config", write_json(d / "phantom.json", params),
+                                 "--out-volume", str(volume), "--out-truth", str(d / "t.nii")])
         if over:
             assert code == 2 and "cap of" in err
             assert not volume.exists()

@@ -1,5 +1,8 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import ndimage
 
 from biliseg import core
@@ -261,6 +264,41 @@ class TestConnectedComponents:
             assert calls == [6]
             assert list(sizes) == [labels.size - mask.count(), mask.count()]
             assert labels.dtype == np.uint8 and np.array_equal(labels, data[box.slices()])
+        # the same spur through 128x128 planes, whose first slab (the first
+        # plane) is clean, and one isolated voxel in its last plane: the scan
+        # looks at the first slab only, so the FACE6 labeling rejects it
+        lone = np.asfortranarray(comb.T)
+        lone[60, 60, 4] = True
+        calls.clear()
+        labels, sizes, box = connected_components(Mask(lone, SP))
+        raw, _ = label(lone.T, structure=Connectivity.VERTEX26.structure())
+        assert calls == [6, 26]
+        assert np.array_equal(labels, raw.T) and list(sizes) == np.bincount(raw.ravel()).tolist()
+
+
+# box dims, and how the mask in it is drawn
+FACE6_DRAWS = st.tuples(st.tuples(*[st.integers(1, 8)] * 3), st.sampled_from(["random", "blob", "blob+voxel"]),
+                        st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(draw=FACE6_DRAWS, slab_voxels=st.integers(1, 64))
+def test_one_face6_component_agrees_with_a_face6_count(draw, slab_voxels):
+    # slabs of 1-64 voxels over boxes of up to 8x8x8: the first slab is
+    # mostly a strict part of the box, so its halo plane is read
+    dims, kind, seed = draw
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        data = random_mask(rng, dims, p=rng.uniform(0.2, 0.95))
+    else:
+        data = face6_blob(rng, dims, int(rng.integers(1, 100)))
+        if kind == "blob+voxel":
+            data[tuple(int(rng.integers(n)) for n in dims)] = True
+    mask = Mask(data, SP)
+    crop = mask.data[bbox_of(mask).slices()]
+    with mock.patch.object(core, "_SLAB_VOXELS", slab_voxels):
+        one = core._one_face6_component(crop)
+    assert one == (ndimage.label(crop, structure=Connectivity.FACE6.structure())[1] == 1)
 
 
 class TestBBox:

@@ -2,7 +2,9 @@ import contextlib
 import io
 import json
 import struct
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -294,12 +296,15 @@ def test_mutated_header_exits_cleanly(small_images, offset, patch):
     ``evaluate``) or of a volume (through a cropping ``segment``) give a
     documented exit code, never an uncaught exception."""
     d, blob, truth, volume, cfg = small_images
-    runs = [(blob, ["evaluate", "--truth", str(truth), "--out", str(d / "r.json")]),
-            (volume, ["segment", "--config", str(cfg), "--out", str(d / "m.nii")])]
+    # a fresh directory per example: rewriting one path on every example
+    # waits for the file system to write back its last version
+    e = Path(tempfile.mkdtemp(dir=d))
+    runs = [(blob, ["evaluate", "--truth", str(truth), "--out", str(e / "r.json")]),
+            (volume, ["segment", "--config", str(cfg), "--out", str(e / "m.nii")])]
     for image, argv in runs:
         mutated = bytearray(image)
         mutated[offset:offset + len(patch)] = patch[:348 - offset]
-        path = write_raw(d, "in.nii", bytes(mutated))
+        path = write_raw(e, "in.nii", bytes(mutated))
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main([*argv, "--in", str(path)])
