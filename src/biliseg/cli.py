@@ -228,7 +228,9 @@ def cmd_segment(args) -> int:
 
     A seeded method's ``GrownMask`` that covers more than
     ``FLOOD_WARNING_FRACTION`` of the input grid draws one warning on stderr;
-    outputs and exit code stay as they are.
+    outputs and exit code stay as they are. Once the working volume is made,
+    only the input's dims and spacing are kept, so the method runs beside
+    the stretched grid alone.
     """
     cfg = _load_json(args.config)
     _check_keys(cfg, ("method", "preprocess", *METHODS, "postprocess",
@@ -248,15 +250,17 @@ def cmd_segment(args) -> int:
     policies = _policies_from_json(cfg.get("postprocess", []))
 
     volume = read_nifti(in_path)
+    dims, spacing = volume.dims, volume.spacing
     work, box = stretch_and_crop(volume, pre)
-    local_mask = _run_method(method, work, method_cfg, box, volume.dims[2])
-    mask = embed_mask(local_mask, box, volume.dims) if box else local_mask
-    reached = local_mask.count() / math.prod(volume.dims) if isinstance(local_mask, GrownMask) else 0.0
+    del volume  # the raw grid is not needed beside the method's own
+    local_mask = _run_method(method, work, method_cfg, box, dims[2])
+    mask = embed_mask(local_mask, box, dims) if box else local_mask
+    reached = local_mask.count() / math.prod(dims) if isinstance(local_mask, GrownMask) else 0.0
 
     try:
         mask = postprocess(mask, policies)
     except DegenerateInputError:
-        mask = Mask(np.zeros(volume.dims, dtype=bool, order="F"), volume.spacing)
+        mask = Mask(np.zeros(dims, dtype=bool, order="F"), spacing)
 
     write_nifti(mask, out_path)
     n = mask.count()

@@ -8,6 +8,8 @@ ignored.
 """
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from .core import Mask, Spacing, Volume
@@ -53,7 +55,7 @@ def _parse_header(raw: bytes):
     if len(raw) < HEADER_SIZE:
         raise _bad("sizeof_hdr", f"truncated header: {len(raw)} bytes, need {HEADER_SIZE}")
     for byteorder in ("<", ">"):
-        hdr = np.frombuffer(raw[:HEADER_SIZE], dtype=_header_dtype(byteorder))[0]
+        hdr = np.frombuffer(raw, dtype=_header_dtype(byteorder))[0]
         if int(hdr["sizeof_hdr"]) == HEADER_SIZE:
             return hdr, byteorder
     raise _bad("sizeof_hdr", "sizeof_hdr is not 348 under either endianness")
@@ -65,66 +67,78 @@ def read_nifti(path, as_mask: bool = False):
     Returns a ``Volume`` (float32, scl_slope/scl_inter applied when slope is
     nonzero), or a ``Mask`` when ``as_mask`` is set and the image holds only
     the values 0 and 1.
+
+    The payload is read into one buffer, sized from the header and checked
+    against the file's size first, and viewed as the stored type: a native
+    float32 image with ``scl_slope == 0`` is a ``Volume`` of that buffer.
+    Without scaling a mask is decided on the stored values, which equal 0 or
+    1 exactly when their float32 values do.
     """
     with open(path, "rb") as f:
-        raw = f.read()
-    hdr, byteorder = _parse_header(raw)
+        hdr, byteorder = _parse_header(f.read(HEADER_SIZE))
 
-    magic = bytes(hdr["magic"])
-    if magic != b"n+1":
-        kind = " (two-file form is unsupported)" if magic == b"ni1" else ""
-        raise _bad("magic", f"bad magic {magic!r}{kind}")
-    dim = hdr["dim"]
-    if int(dim[0]) != 3:
-        raise _bad("dim", f"expected a 3D image (dim[0] == 3), got dim[0] == {int(dim[0])}")
-    nx, ny, nz = (int(dim[i]) for i in (1, 2, 3))
-    if min(nx, ny, nz) < 1:
-        raise _bad("dim", f"non-positive dims {(nx, ny, nz)}")
-    code = int(hdr["datatype"])
-    if code not in DTYPES:
-        raise _bad("datatype", f"unsupported datatype code {code}")
-    dtype = np.dtype(DTYPES[code]).newbyteorder(byteorder)
-    if int(hdr["bitpix"]) != dtype.itemsize * 8:
-        raise _bad("bitpix", f"bitpix {int(hdr['bitpix'])} inconsistent with datatype {code}")
-    pixdim = [float(hdr["pixdim"][i]) for i in (1, 2, 3)]
-    if any(not np.isfinite(p) or p <= 0 for p in pixdim):
-        raise _bad("pixdim", f"non-positive pixdim {pixdim}")
-    if not np.isfinite(hdr["vox_offset"]):
-        raise _bad("vox_offset", f"non-finite vox_offset {float(hdr['vox_offset'])}")
-    vox_offset = int(hdr["vox_offset"])
-    if vox_offset < HEADER_SIZE:
-        raise _bad("vox_offset", f"vox_offset {vox_offset} overlaps the header")
+        magic = bytes(hdr["magic"])
+        if magic != b"n+1":
+            kind = " (two-file form is unsupported)" if magic == b"ni1" else ""
+            raise _bad("magic", f"bad magic {magic!r}{kind}")
+        dim = hdr["dim"]
+        if int(dim[0]) != 3:
+            raise _bad("dim", f"expected a 3D image (dim[0] == 3), got dim[0] == {int(dim[0])}")
+        nx, ny, nz = (int(dim[i]) for i in (1, 2, 3))
+        if min(nx, ny, nz) < 1:
+            raise _bad("dim", f"non-positive dims {(nx, ny, nz)}")
+        code = int(hdr["datatype"])
+        if code not in DTYPES:
+            raise _bad("datatype", f"unsupported datatype code {code}")
+        dtype = np.dtype(DTYPES[code]).newbyteorder(byteorder)
+        if int(hdr["bitpix"]) != dtype.itemsize * 8:
+            raise _bad("bitpix", f"bitpix {int(hdr['bitpix'])} inconsistent with datatype {code}")
+        pixdim = [float(hdr["pixdim"][i]) for i in (1, 2, 3)]
+        if any(not np.isfinite(p) or p <= 0 for p in pixdim):
+            raise _bad("pixdim", f"non-positive pixdim {pixdim}")
+        if not np.isfinite(hdr["vox_offset"]):
+            raise _bad("vox_offset", f"non-finite vox_offset {float(hdr['vox_offset'])}")
+        vox_offset = int(hdr["vox_offset"])
+        if vox_offset < HEADER_SIZE:
+            raise _bad("vox_offset", f"vox_offset {vox_offset} overlaps the header")
 
-    nbytes = nx * ny * nz * dtype.itemsize
-    payload = raw[vox_offset:vox_offset + nbytes]
-    if len(payload) < nbytes:
-        raise FormatError(
-            f"truncated data: expected {nbytes} bytes at offset {vox_offset}, file holds {len(payload)}"
-        )
-    data = np.frombuffer(payload, dtype=dtype).reshape((nx, ny, nz), order="F")
+        # checked before the buffer is allocated or the file is sought: an
+        # offset or dims far past the file would not fit either
+        nbytes = nx * ny * nz * dtype.itemsize
+        held = min(max(os.fstat(f.fileno()).st_size - vox_offset, 0), nbytes)
+        if held == nbytes:
+            data = np.empty(nbytes, np.uint8)
+            f.seek(vox_offset)
+            held = f.readinto(data)
+        if held < nbytes:
+            raise FormatError(
+                f"truncated data: expected {nbytes} bytes at offset {vox_offset}, file holds {held}"
+            )
+    data = data.view(dtype).reshape((nx, ny, nz), order="F")
 
     slope = float(hdr["scl_slope"])
     inter = float(hdr["scl_inter"])
     if not (np.isfinite(slope) and np.isfinite(inter)):
         raise _bad("scl_slope", "non-finite scl_slope/scl_inter")
-    values = data.astype(np.float32)
     if slope != 0.0:
         try:
             # only an overflow is the scale's fault: a NaN or inf stored in
             # the data is left to the Volume's own check
             with np.errstate(over="raise"):
-                values = values * np.float32(slope) + np.float32(inter)
+                data = data.astype(np.float32) * np.float32(slope) + np.float32(inter)
         except FloatingPointError:
             raise _bad("scl_slope", f"scl_slope {slope:g} and scl_inter {inter:g} scale a value "
                                     "past float32's range") from None
 
     spacing = Spacing(*pixdim)
     if as_mask:
-        mask = values == 1
-        if not (mask | (values == 0)).all():
+        mask = data == 1
+        valid = data == 0
+        valid |= mask
+        if not valid.all():
             raise FormatError(f"{path}: image holds values other than 0/1, cannot load as a mask")
         return Mask(mask, spacing)
-    return Volume(values, spacing)
+    return Volume(data, spacing)
 
 
 def write_nifti(obj, path) -> None:

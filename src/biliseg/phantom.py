@@ -27,6 +27,9 @@ from .errors import ConfigError, DegenerateInputError
 # cannot), and the volume holds prod(dims) voxels.
 MAX_SEGMENTS = 4095           # a binary tree of depth 11
 MAX_VOXELS = 256 * 256 * 256
+# render_intensities draws and shifts the noise in blocks of x-slabs of at
+# most about this many voxels (one slab when a slab is larger)
+_BLOCK_VOXELS = 2 ** 18
 
 
 @dataclass(frozen=True)
@@ -218,21 +221,32 @@ def rasterize_tree(tree: tuple[TubeSegment, ...], dims, spacing: Spacing) -> Mas
 
 def render_intensities(gt: Mask, params: PhantomParams) -> Volume:
     """Two-class Gaussian image: foreground Normal(fg_mean, noise_std),
-    background Normal(bg_mean, noise_std), clamped to [0, 255]."""
+    background Normal(bg_mean, noise_std), clamped to [0, 255].
+
+    The noise is the C-ordered ``standard_normal`` draw of the whole grid,
+    taken one block of x-slabs at a time: consecutive draws continue one
+    stream, so the blocks hold the values of a single draw. Each block is
+    scaled, shifted, clipped in float64 and written into the float32
+    x-fastest output, so no float64 copy of the grid is made.
+    """
     _, rng = _streams(params.rng_seed)
     fg, bg = float(params.fg_mean), float(params.bg_mean)
-    if params.noise_std > 0:
-        # the noise scaled and shifted in place, one x-slab of the C-ordered
-        # draw at a time: z * noise_std + mean is mean + noise_std * z bit for
-        # bit, since IEEE addition and multiplication commute
-        out = rng.standard_normal(gt.dims)
-        # a value past the float range becomes +-inf, which the clip maps to
-        # 255 or 0 like any other value out of range
-        with np.errstate(over="ignore"):
-            out *= params.noise_std
-            for noise, inside in zip(out, gt.data):
-                noise += np.where(inside, fg, bg)
-    else:
-        # not 0.0 + bg_mean, which would turn a bg_mean of -0.0 into +0.0
-        out = np.where(gt.data, fg, bg)
-    return Volume(np.clip(out, 0.0, 255.0, out=out).astype(np.float32, order="F"), gt.spacing)
+    nx, ny, nz = gt.dims
+    out = np.empty(gt.dims, np.float32, order="F")
+    # a block's two float64 temporaries take at most a quarter of the output
+    step = max(1, min(_BLOCK_VOXELS, nx * ny * nz // 16) // (ny * nz))
+    for x in range(0, nx, step):
+        inside = gt.data[x:x + step]
+        if params.noise_std > 0:
+            # z * noise_std + mean is mean + noise_std * z bit for bit, since
+            # IEEE addition and multiplication commute; a value past the float
+            # range becomes +-inf, which the clip maps to 255 or 0
+            values = rng.standard_normal(inside.shape)
+            with np.errstate(over="ignore"):
+                values *= params.noise_std
+                values += np.where(inside, fg, bg)
+        else:
+            # not 0.0 + bg_mean, which would turn a bg_mean of -0.0 into +0.0
+            values = np.where(inside, fg, bg)
+        out[x:x + step] = np.clip(values, 0.0, 255.0, out=values)
+    return Volume(out, gt.spacing)

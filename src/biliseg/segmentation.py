@@ -180,35 +180,37 @@ def sauvola_threshold_field(slice_values: np.ndarray, k: float, R: float, window
     deviation over the ``window`` x ``window`` window centered on the pixel.
     Window sums come from summed-area tables; border windows are clipped, and
     each pixel's mean/std covers exactly the in-bounds part of its window.
-    m, s and T are computed as written above, over a C-ordered float64 copy
-    of the slice, whatever its layout, and the result is C-ordered.
-    ``region_grow`` calls it once per slice, so no float64 copy of the grid
-    is made.
+    m, s and T are computed as written above, over a float64 copy of the
+    slice transposed to (y, x) and C-ordered, whatever its layout, and the
+    result is the transpose of that field: an x-fastest slice of an
+    x-fastest grid gets an x-fastest field, which it compares against
+    contiguously. ``region_grow`` calls it once per slice, so no float64
+    copy of the grid is made.
     """
-    a = np.array(slice_values, dtype=np.float64, order="C")
-    nx, ny = a.shape
+    a = np.array(np.transpose(slice_values), dtype=np.float64, order="C")
+    ny, nx = a.shape
     h = min(window // 2, max(nx, ny))  # any wider window covers the whole slice alike
     w = 2 * h + 1
     # the summed-area table, edge-padded by h on every side: its zero first
     # row and column fill the top and left pads, its last row and column are
     # repeated into the bottom and right ones, so each clipped window corner
     # is a shifted view of it
-    t = np.zeros((nx + w, ny + w))
-    inner = t[h + 1:h + 1 + nx, h + 1:h + 1 + ny]
+    t = np.zeros((ny + w, nx + w))
+    inner = t[h + 1:h + 1 + ny, h + 1:h + 1 + nx]
 
     def window_sums(values):
-        np.cumsum(values, axis=0, out=inner)
-        np.cumsum(inner, axis=1, out=inner)
-        t[h + 1:h + 1 + nx, h + 1 + ny:] = inner[:, -1:]
-        t[h + 1 + nx:] = t[h + nx]
-        return t[w:, w:] - t[:-w, w:] - t[w:, :-w] + t[:-w, :-w]
+        np.cumsum(values, axis=1, out=inner)
+        np.cumsum(inner, axis=0, out=inner)
+        t[h + 1 + ny:, h + 1:h + 1 + nx] = inner[-1:]
+        t[:, h + 1 + nx:] = t[:, h + nx:h + nx + 1]
+        return t[w:, w:] - t[w:, :-w] - t[:-w, w:] + t[:-w, :-w]
 
-    spans = [np.minimum(np.arange(n) + h + 1, n) - np.maximum(np.arange(n) - h, 0) for n in (nx, ny)]
+    spans = [np.minimum(np.arange(n) + h + 1, n) - np.maximum(np.arange(n) - h, 0) for n in (ny, nx)]
     count = np.outer(*spans)
     m = window_sums(a) / count
     s = np.sqrt(np.maximum(window_sums(a * a) / count - m * m, 0.0))
     with np.errstate(over="ignore"):  # a subnormal R: s / R, and so the threshold, can be inf
-        return m * (1 + k * (s / R - 1))
+        return (m * (1 + k * (s / R - 1))).T
 
 
 def region_grow(volume: Volume, cfg: RegionGrowConfig) -> GrownMask:

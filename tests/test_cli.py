@@ -19,6 +19,7 @@ import biliseg.cli
 from biliseg.cli import main
 from biliseg.core import in_bounds
 from biliseg.phantom import MAX_SEGMENTS, MAX_VOXELS
+from conftest import traced_peak
 
 PHANTOM = {
     "dims": [32, 32, 12],
@@ -444,6 +445,19 @@ class TestSegmentCommand:
             assert main(["segment", "--in", str(demo_volume), "--out", str(tmp_path / f"{method}.nii"),
                          "--method", method, "--config", str(CONFIGS / "segment_demo.json")]) == 0
             assert len(calls) == 2, method
+
+    def test_uncropped_region_growing_peak_memory(self, tmp_path, demo_volume):
+        # the stretched grid (1x), the threshold-passing map and the grown
+        # mask (0.25x each) and the engine's int32 labels (1x); the guard
+        # catches the raw volume kept alive beside them
+        cfg = json.loads((CONFIGS / "segment_demo.json").read_text())
+        cfg["preprocess"]["crop_enabled"] = False
+        argv = ["segment", "--in", str(demo_volume), "--out", str(tmp_path / "m.nii"),
+                "--config", write_json(tmp_path / "uncropped.json", cfg)]
+        grid = 4 * math.prod(read_nifti(demo_volume).dims)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert traced_peak(main, argv) <= 3 * grid
+        assert read_nifti(tmp_path / "m.nii", as_mask=True).data.any()
 
     def test_demo_configs_draw_no_warning(self, tmp_path, demo_volume, capsys):
         capsys.readouterr()

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import struct
 import tempfile
 import warnings
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from biliseg import FormatError, GeometryError, Mask, Spacing, Volume, read_nifti, write_nifti
 from biliseg.cli import main
-from conftest import raw_nifti_bytes
+from conftest import raw_nifti_bytes, traced_peak
 
 
 def write_raw(tmp_path, name, blob):
@@ -116,6 +117,86 @@ class TestRead:
         path = write_raw(tmp_path, "mk3.nii", raw_nifti_bytes(arr, (1, 1, 1), 16))
         with pytest.raises(FormatError, match="0/1"):
             read_nifti(path, as_mask=True)
+
+
+# datatype code -> stored type, and values each may hold: 0 and 1, a value a
+# mask rejects, and for float32 the -0.0 and NaN that compare as 0 and as
+# neither
+STORED = {2: np.uint8, 4: np.int16, 512: np.uint16, 16: np.float32}
+STORED_VALUES = {2: [0, 1, 2, 255], 4: [0, 1, 2, -7, 32767], 512: [0, 1, 2, 65535],
+                 16: [0.0, 1.0, 2.0, -0.0, np.nan, 1.5, -7.25, 1e30]}
+
+
+def decode_whole_file(blob, code, endian, dims, vox_offset, scl, path, as_mask):
+    """The decode that held the whole file: ``np.frombuffer`` of its bytes,
+    cast to float32, scaled when the slope is nonzero, and a mask decided
+    on the float32 values."""
+    stored = np.frombuffer(blob, np.dtype(STORED[code]).newbyteorder(endian),
+                           count=math.prod(dims), offset=vox_offset)
+    values = stored.reshape(dims, order="F").astype(np.float32)
+    if scl[0] != 0.0:
+        values = values * np.float32(scl[0]) + np.float32(scl[1])
+    spacing = Spacing(1.0, 1.25, 2.0)
+    if as_mask:
+        if not ((values == 1) | (values == 0)).all():
+            raise FormatError(f"{path}: image holds values other than 0/1, cannot load as a mask")
+        return Mask(values == 1, spacing)
+    return Volume(values, spacing)
+
+
+def outcome(fn, *args):
+    """``fn(*args)`` as (type, data bytes, dtype, F layout, spacing), or as
+    (error type, error text)."""
+    try:
+        out = fn(*args)
+    except (FormatError, GeometryError) as e:
+        return type(e), str(e)
+    return type(out), out.data.tobytes(), out.data.dtype, out.data.flags.f_contiguous, out.spacing
+
+
+class TestReadMatchesWholeFileDecode:
+    """``read_nifti`` gives the bytes, dtype and layout, or the error text,
+    of the decode that held the whole file and a float32 copy of it."""
+
+    @pytest.mark.parametrize("endian", ["<", ">"])
+    @pytest.mark.parametrize("code", sorted(STORED))
+    def test_every_stored_type(self, tmp_path, code, endian):
+        rng = np.random.default_rng(code)
+        pool = STORED_VALUES[code]
+        for case in range(24):
+            dims = tuple(int(n) for n in rng.integers(1, 6, 3))
+            # a mask-like image, then one that may hold any of the values
+            choices = pool[:2] + pool[3:4] * (code == 16) if case % 2 == 0 else pool
+            arr = np.array(rng.choice(np.array(choices, dtype=STORED[code]), size=dims))
+            scl = [(0.0, 0.0), (0.0, 5.0), (1.0, 0.0), (2.0, -1.0), (0.5, 0.5), (-1.0, 1.0)][case % 6]
+            vox_offset = 352 if case % 3 else 400 + 4 * case
+            blob = raw_nifti_bytes(arr, (1.0, 1.25, 2.0), code, endian=endian, scl=scl,
+                                   vox_offset=vox_offset)
+            path = write_raw(tmp_path, f"{case}.nii", blob)
+            for as_mask in (False, True):
+                want = outcome(decode_whole_file, blob, code, endian, dims, vox_offset, scl, path, as_mask)
+                assert outcome(read_nifti, path, as_mask) == want, (case, as_mask)
+
+
+class TestReadMemory:
+    """Peak bytes of a read, under tracemalloc. A 64x64x32 grid, so that
+    fixed costs are small beside it."""
+
+    DIMS = (64, 64, 32)
+
+    def test_float32_volume_is_the_payload_buffer(self, tmp_path):
+        # the buffer, which the Volume keeps (1x), and its finiteness check
+        # (0.25x); the guard catches a copy of the file or of the payload
+        data = np.random.default_rng(1).uniform(0, 255, self.DIMS).astype(np.float32)
+        write_nifti(Volume(data, Spacing(1, 1, 1)), tmp_path / "v.nii")
+        assert traced_peak(read_nifti, tmp_path / "v.nii") <= 1.5 * data.nbytes
+
+    def test_mask_is_decided_on_the_stored_bytes(self, tmp_path):
+        # the uint8 buffer, the mask and the 0-or-1 test: one bool grid each;
+        # the guard catches a float32 copy
+        mask = Mask(np.random.default_rng(2).random(self.DIMS) < 0.3, Spacing(1, 1, 1))
+        write_nifti(mask, tmp_path / "m.nii")
+        assert traced_peak(read_nifti, tmp_path / "m.nii", True) <= 3.5 * mask.data.size
 
 
 class TestWrite:
@@ -249,6 +330,24 @@ class TestHeaderEdgeCases:
         with pytest.raises(FormatError, match=rf"\(byte offset {field_offset}\)$"):
             read_nifti(write_raw(tmp_path, "f.nii", bytes(patched)))
 
+    @pytest.mark.parametrize("at, patch, nbytes, offset", [
+        (108, struct.pack("<f", 1e30), 8, int(np.float32(1e30))),
+        (42, struct.pack("<3h", 32767, 32767, 32767), 32767 ** 3, 352),
+    ], ids=["vox_offset-1e30", "dims-32767-cubed"])
+    def test_payload_past_the_file_is_truncated_data(self, tmp_path, capsys, at, patch, nbytes, offset):
+        # the payload is sized against the file before any seek or allocation
+        patched = bytearray(raw_nifti_bytes(np.zeros((2, 2, 2), dtype=np.uint8), (1, 1, 1), 2))
+        patched[at:at + len(patch)] = patch
+        path = write_raw(tmp_path, "p.nii", bytes(patched))
+        held = 8 if offset == 352 else 0
+        text = f"truncated data: expected {nbytes} bytes at offset {offset}, file holds {held}"
+        with pytest.raises(FormatError) as e:
+            read_nifti(path)
+        assert str(e.value) == text
+        assert main(["evaluate", "--in", str(path), "--truth", str(path),
+                     "--out", str(tmp_path / "r.json")]) == 2
+        assert capsys.readouterr().err == f"error: {text}\n"
+
     def test_nonpositive_pixdim_rejected(self, tmp_path):
         arr = np.zeros((2, 2, 2), dtype=np.uint8)
         blob = raw_nifti_bytes(arr, (1.0, -1.0, 1.0), 2)
@@ -291,6 +390,8 @@ FIELD_OFFSETS = [0, *range(40, 56, 2), 70, 72, *range(76, 120, 4), 344]
        | st.integers(-2**15, 2**15 - 1).map(lambda v: struct.pack("<h", v)))
 @example(offset=108, patch=struct.pack("<f", float("nan")))
 @example(offset=112, patch=struct.pack("<ff", 3e38, 3e38))  # scl_slope, scl_inter
+@example(offset=108, patch=struct.pack("<f", 1e30))  # vox_offset far past the file
+@example(offset=42, patch=struct.pack("<3h", 32767, 32767, 32767))  # dims too large to allocate
 def test_mutated_header_exits_cleanly(small_images, offset, patch):
     """Any bytes written into the header of a prediction (through
     ``evaluate``) or of a volume (through a cropping ``segment``) give a

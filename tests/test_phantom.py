@@ -195,6 +195,18 @@ class TestRasterize:
             rasterize_tree((), (10, 10, 10), SP)
 
 
+def render_one_draw(gt: Mask, p: PhantomParams) -> np.ndarray:
+    """The render that drew the whole grid's noise at once: one C-ordered
+    float64 ``standard_normal`` draw from noise stream 1, scaled, shifted by
+    the class means, clipped and cast to an x-fastest float32 grid."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(p.rng_seed).spawn(2)[1]))
+    means = np.where(gt.data, float(p.fg_mean), float(p.bg_mean))
+    if p.noise_std > 0:
+        with np.errstate(over="ignore"):
+            means = rng.standard_normal(gt.dims) * p.noise_std + means
+    return np.clip(means, 0.0, 255.0).astype(np.float32, order="F")
+
+
 class TestRender:
     def test_noiseless_two_values(self):
         p = params(noise_std=0.0)
@@ -204,6 +216,19 @@ class TestRender:
         assert values == {10.0, 200.0}
         assert (vol.data[truth.data] == 200.0).all()
         assert (vol.data[~truth.data] == 10.0).all()
+
+    # blocks of 1 (a slab over the block size), 2, 4 and 5 slabs; 2 and 4
+    # leave a shorter last block on the 33 and 67 slab grids
+    @pytest.mark.parametrize("dims", [(5, 3, 2), (2, 200, 100), (33, 7, 5), (64, 64, 32),
+                                      (67, 64, 32), (80, 64, 64)])
+    @pytest.mark.parametrize("noise", [{"noise_std": 8.0}, {"noise_std": 0.0, "bg_mean": -0.0},
+                                       {"noise_std": 1e308}], ids=["noise", "noiseless", "overflowing"])
+    def test_matches_the_one_draw_render(self, dims, noise):
+        p = params(dims=dims, rng_seed=17, **noise)
+        truth = Mask(np.random.default_rng(math.prod(dims)).random(dims) < 0.3, SP)
+        vol = render_intensities(truth, p)
+        assert vol.data.flags.f_contiguous
+        assert vol.data.tobytes() == render_one_draw(truth, p).tobytes()
 
     def test_noiseless_band_threshold_recovers_truth(self):
         p = params(noise_std=0.0)
@@ -236,11 +261,12 @@ class TestRender:
         assert set(np.unique(vol.data).tolist()) == {0.0, 255.0}
 
     def test_peak_memory_is_the_noise_and_the_output(self):
-        # float64 noise (2x the float32 grid) and the float32 result (1x);
-        # the guard catches another full-grid float64 temporary
+        # the float32 result (1x), then its finiteness check (0.25x) or one
+        # block's float64 noise and class means (at most 0.25x); the guard
+        # catches a full-grid float64 temporary
         p = params(dims=(64, 64, 32), noise_std=8.0, rng_seed=3)
         truth = Mask(np.asfortranarray(np.random.default_rng(3).random(p.dims) < 0.2), p.spacing)
-        assert traced_peak(render_intensities, truth, p) <= 3.5 * 4 * truth.data.size
+        assert traced_peak(render_intensities, truth, p) <= 1.5 * 4 * truth.data.size
 
     def test_noise_changes_values_but_not_geometry(self):
         p = params(noise_std=5.0, rng_seed=31)

@@ -215,6 +215,13 @@ class TestSauvola:
             assert (sauvola_threshold_field(s, 0.3, 100.0, window) == whole).all()
         assert whole[4, 2] == pytest.approx(sauvola_threshold(s, 4, 2, 0.3, 100.0, 10**30 + 1), abs=1e-9)
 
+    def test_field_has_the_slice_layout(self):
+        # region growing compares each x-fastest slice against its field, so
+        # the field of such a slice must be x-fastest too
+        grid = np.asfortranarray(np.random.default_rng(8).uniform(0, 255, (9, 7, 3)))
+        field = sauvola_threshold_field(grid[:, :, 1], 0.3, 100.0, 5)
+        assert field.shape == (9, 7) and field.flags.f_contiguous
+
     def test_field_bytes_are_pinned(self):
         # the oracles above are approximate; this hash guards every last bit of
         # the field over C and F layouts, 1-px sides, a strided float32 slice,
