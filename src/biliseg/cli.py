@@ -30,8 +30,8 @@ from .phantom import PhantomParams, generate_tree, rasterize_tree, render_intens
 from .preprocess import PreprocessParams, stretch_and_crop
 from .report import COLUMNS, FORMATS, write_report
 from .segmentation import (FloodFillConfig, KeepLargest, KeepSeeded, MinSize,
-                           RegionGrowConfig, ThresholdConfig, dual_threshold,
-                           flood_fill, postprocess, region_grow)
+                           RegionGrowConfig, ThresholdConfig, check_override_slices,
+                           dual_threshold, flood_fill, postprocess, region_grow)
 from .stats import mean_std, one_way_anova
 from ._util import atomic_write
 
@@ -211,9 +211,7 @@ def _run_method(method: str, work, cfg, box, nz: int):
     """
     if box is not None and method == "threshold":
         overrides = cfg.per_slice_overrides or {}
-        for z in overrides:
-            if not 0 <= z < nz:
-                raise ConfigError(f"per-slice override references slice {z}, volume has {nz} slices")
+        check_override_slices(overrides, nz)
         kept = {z - box.lo[2]: pair for z, pair in overrides.items() if box.lo[2] <= z <= box.hi[2]}
         cfg = dataclasses.replace(cfg, per_slice_overrides=kept or None)
     elif box is not None:

@@ -6,8 +6,10 @@ fill and region growing share one growth engine whose result is the unique
 maximal set reachable from the seed through voxels satisfying the method's
 acceptance predicate: the seed's connected component under the method's
 steps, found by one connected-component labeling call, so it does not depend
-on any traversal order. Each step lies in the 3x3x3 cube, so the result is
-one VERTEX26 component: a ``GrownMask``, which ``postprocess`` need not label.
+on any traversal order. The engine takes over the acceptance map its method
+builds and overwrites it with the result, so growing holds no second mask.
+Each step lies in the 3x3x3 cube, so the result is one VERTEX26 component: a
+``GrownMask``, which ``postprocess`` need not label.
 ``postprocess`` returns a lone surviving component as a ``GrownMask`` too.
 """
 from __future__ import annotations
@@ -132,33 +134,44 @@ def dual_threshold(volume: Volume, cfg: ThresholdConfig) -> Mask:
     range casts to +-inf, which compares against finite data exactly as the
     float64 bound would, so the cast's overflow warning is silenced.
     """
+    check_override_slices(cfg.per_slice_overrides, volume.dims[2])
     data = volume.data
     with np.errstate(over="ignore"):
         out = (data > cfg.t_min) & (data <= cfg.t_max)
-        if cfg.per_slice_overrides:
-            nz = volume.dims[2]
-            for z, (lo, hi) in sorted(cfg.per_slice_overrides.items()):
-                if not 0 <= z < nz:
-                    raise ConfigError(f"per-slice override references slice {z}, volume has {nz} slices")
-                out[:, :, z] = (data[:, :, z] > lo) & (data[:, :, z] <= hi)
+        for z, (lo, hi) in (cfg.per_slice_overrides or {}).items():
+            out[:, :, z] = (data[:, :, z] > lo) & (data[:, :, z] <= hi)
     return Mask(out, volume.spacing)
+
+
+def check_override_slices(overrides: dict[int, tuple[float, float]] | None, nz: int) -> None:
+    """Raise ``ConfigError`` naming the lowest override slice outside
+    ``0..nz-1``. ``dual_threshold`` and the CLI's cropped path both check
+    here, so a config names the same slice with the crop on or off."""
+    for z in sorted(overrides or {}):
+        if not 0 <= z < nz:
+            raise ConfigError(f"per-slice override references slice {z}, volume has {nz} slices")
 
 
 def grow_from_seed(allowed: np.ndarray, seed: SeedPoint, structure: np.ndarray) -> np.ndarray:
     """Voxels reachable from ``seed`` through ``allowed`` voxels, one step of
     the 3x3x3 ``structure`` at a time. The seed is always included.
 
+    ``allowed`` is a writable boolean map that the caller gives up: the
+    engine sets the seed in it, labels it and overwrites it with the result,
+    and the returned array is ``allowed`` itself. No copy of the map and no
+    second mask-sized array is made; the one temporary is the int32 labels.
+
     ``structure`` is a ``Connectivity.structure()``, region growing's with
     the +-z cells set when it propagates across slices. Such an element is
     symmetric under negation, so reachability is symmetric and the reachable
     set is exactly the seed's connected component of ``allowed | {seed}``; it
-    comes from one ``scipy.ndimage.label`` call and depends on no traversal
+    comes from one ``scipy.ndimage.label`` call, made on the transpose so that
+    an x-fastest map is labeled in memory order, and depends on no traversal
     order.
     """
-    region = np.array(allowed, dtype=bool, order="F")
-    region[seed] = True
-    labels, _ = ndimage.label(region.T, structure=structure.T)
-    return labels.T == labels.T[seed]
+    allowed[seed] = True
+    labels, _ = ndimage.label(allowed.T, structure=structure.T)
+    return np.equal(labels.T, labels.T[seed], out=allowed)
 
 
 def flood_fill(volume: Volume, cfg: FloodFillConfig) -> GrownMask:
@@ -169,8 +182,7 @@ def flood_fill(volume: Volume, cfg: FloodFillConfig) -> GrownMask:
     # one float64 temporary; the same arithmetic as astype(float64) - seed_value
     diff = np.subtract(volume.data, seed_value, dtype=np.float64)
     allowed = np.abs(diff, out=diff) <= cfg.tolerance
-    reached = grow_from_seed(allowed, seed, cfg.connectivity.structure())
-    return GrownMask(reached, volume.spacing)
+    return GrownMask(grow_from_seed(allowed, seed, cfg.connectivity.structure()), volume.spacing)
 
 
 def sauvola_threshold_field(slice_values: np.ndarray, k: float, R: float, window: int) -> np.ndarray:
@@ -233,8 +245,7 @@ def region_grow(volume: Volume, cfg: RegionGrowConfig) -> GrownMask:
 
     structure = cfg.in_slice_connectivity.structure()
     structure[1, 1, [0, 2]] = cfg.propagate_slices
-    reached = grow_from_seed(allowed, seed, structure)
-    return GrownMask(reached, volume.spacing)
+    return GrownMask(grow_from_seed(allowed, seed, structure), volume.spacing)
 
 
 def postprocess(mask: Mask, policies) -> Mask:

@@ -446,18 +446,33 @@ class TestSegmentCommand:
                          "--method", method, "--config", str(CONFIGS / "segment_demo.json")]) == 0
             assert len(calls) == 2, method
 
-    def test_uncropped_region_growing_peak_memory(self, tmp_path, demo_volume):
-        # the stretched grid (1x), the threshold-passing map and the grown
-        # mask (0.25x each) and the engine's int32 labels (1x); the guard
-        # catches the raw volume kept alive beside them
+    @staticmethod
+    def uncropped_peak_grids(tmp_path, demo_volume, method):
+        """Traced peak of an uncropped demo ``segment`` by ``method``, in
+        float32 grids of the demo volume."""
         cfg = json.loads((CONFIGS / "segment_demo.json").read_text())
         cfg["preprocess"]["crop_enabled"] = False
         argv = ["segment", "--in", str(demo_volume), "--out", str(tmp_path / "m.nii"),
-                "--config", write_json(tmp_path / "uncropped.json", cfg)]
+                "--method", method, "--config", write_json(tmp_path / "uncropped.json", cfg)]
         grid = 4 * math.prod(read_nifti(demo_volume).dims)
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            assert traced_peak(main, argv) <= 3 * grid
+            peak = traced_peak(main, argv)
         assert read_nifti(tmp_path / "m.nii", as_mask=True).data.any()
+        return peak / grid
+
+    def test_uncropped_region_growing_peak_memory(self, tmp_path, demo_volume):
+        # the stretched grid (1x), the threshold-passing map that the engine
+        # overwrites with the grown mask (0.25x) and the engine's int32 labels
+        # (1x): about 2.4 grids. The guard catches a copy of the map or a
+        # second mask-sized result (2.8) and the raw volume kept alive beside them
+        assert self.uncropped_peak_grids(tmp_path, demo_volume, "regiongrow") <= 2.5
+
+    def test_uncropped_flood_fill_peak_memory(self, tmp_path, demo_volume):
+        # the stretched grid (1x), the float64 distances to the seed value
+        # (2x), the within-tolerance map that becomes the mask (0.25x) and the
+        # int32 labels (1x): about 4.3 grids; a copy of the map or a second
+        # mask-sized result reads 4.8
+        assert self.uncropped_peak_grids(tmp_path, demo_volume, "floodfill") <= 4.5
 
     def test_demo_configs_draw_no_warning(self, tmp_path, demo_volume, capsys):
         capsys.readouterr()
@@ -591,6 +606,20 @@ class TestSegmentCommand:
         _, box = stretch_and_crop(volume, PreprocessParams(**preprocess))
         seed = SEED_OUTSIDE_DEMO_CROP
         assert in_bounds(seed, volume.dims) and not in_bounds(np.subtract(seed, box.lo), box.shape())
+
+    def test_out_of_range_override_slices_name_the_lowest_with_the_crop_on_or_off(
+            self, tmp_path, demo_volume, capsys):
+        doc = json.loads((CONFIGS / "segment_demo.json").read_text())
+        doc["method"] = "threshold"
+        doc["threshold"]["per_slice_overrides"] = {"99": [100, 200], "-1": [100, 200]}
+        errors = []
+        for crop in (True, False):
+            doc["preprocess"]["crop_enabled"] = crop
+            cfg = write_json(tmp_path / f"crop-{crop}.json", doc)
+            assert main(["segment", "--in", str(demo_volume), "--out", str(tmp_path / "m.nii"),
+                         "--config", cfg]) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors == ["error: per-slice override references slice -1, volume has 32 slices\n"] * 2
 
     @pytest.mark.parametrize("case", ["no-paths", "method-flag-without-section"])
     def test_unrunnable_invocation_exit_2(self, tmp_path, demo_volume, capsys, case):
@@ -861,6 +890,95 @@ class TestMeshCommand:
         assert main(["mesh", "--in", str(tmp_path / "e.nii"),
                      "--out", str(tmp_path / "e.stl")]) == 4
         assert os.listdir(tmp_path) == ["e.nii"]  # neither e.stl nor e.stl.tmp
+
+
+class TestMetamorphicRelations:
+    """Exact relations of the whole protocol through the CLI, which need no
+    oracle. On the demo phantom with noise 30 and a 99th-percentile crop
+    every method's mask misses the truth somewhere, so each Hausdorff
+    distance is nonzero and no relation holds trivially.
+
+    Reversing z in the volume, the truth and the seeds reverses each mask and
+    its crop box's z range and keeps the report byte for byte: the Sauvola
+    field is per slice, so region growing is included. Doubling the spacing
+    doubles each Hausdorff distance exactly (IEEE multiplication by 2 is exact
+    short of overflow) and keeps every other field."""
+
+    HAUSDORFF_FIELDS = ("hd_mm", "hd_directed_pred_to_gt", "hd_directed_gt_to_pred")
+    SEED = json.loads((CONFIGS / "segment_demo.json").read_text())["regiongrow"]["seed"]
+
+    @pytest.fixture(scope="class")
+    def noisy_demo(self, tmp_path_factory):
+        """(directory, the protocol's runs on the noisy demo case)."""
+        d = tmp_path_factory.mktemp("metamorphic")
+        phantom = json.loads((CONFIGS / "phantom_demo.json").read_text())
+        phantom["noise_std"] = 30.0
+        assert main(["phantom", "--config", write_json(d / "phantom.json", phantom),
+                     "--out-volume", str(d / "same.vol.nii"), "--out-truth", str(d / "same.truth.nii")]) == 0
+        return d, self.protocol(d, "same", self.SEED)
+
+    @staticmethod
+    def rewrite(d, name, reverse_z=False, spacing_scale=1.0):
+        """Write the noisy demo volume and truth as ``name``, z-reversed and
+        with the spacing scaled as asked."""
+        for part, as_mask in (("vol", False), ("truth", True)):
+            image = read_nifti(d / f"same.{part}.nii", as_mask=as_mask)
+            sp = image.spacing
+            write_nifti(type(image)(image.data[:, :, ::-1] if reverse_z else image.data,
+                                    Spacing(spacing_scale * sp.dx, spacing_scale * sp.dy,
+                                            spacing_scale * sp.dz)),
+                        d / f"{name}.{part}.nii")
+
+    @staticmethod
+    def protocol(d, name, seed):
+        """Segment ``name``'s volume by every method, seeded at ``seed``, and
+        evaluate each mask against ``name``'s truth: {method: (mask, crop
+        box, report text)}."""
+        cfg = json.loads((CONFIGS / "segment_demo.json").read_text())
+        cfg["preprocess"]["crop_percentile"] = 99.0
+        cfg["floodfill"]["seed"] = cfg["regiongrow"]["seed"] = list(seed)
+        config = write_json(d / f"{name}.segment.json", cfg)
+        runs = {}
+        for method in biliseg.cli.METHODS:
+            mask, report = d / f"{name}.{method}.nii", d / f"{name}.{method}.json"
+            assert main(["segment", "--in", str(d / f"{name}.vol.nii"), "--out", str(mask),
+                         "--method", method, "--config", config]) == 0
+            assert main(["evaluate", "--in", str(mask), "--truth", str(d / f"{name}.truth.nii"),
+                         "--out", str(report)]) == 0
+            box = json.loads(Path(f"{mask}.provenance.json").read_text())["derived"]["crop_bbox"]
+            runs[method] = read_nifti(mask, as_mask=True).data, box, report.read_text()
+        return runs
+
+    def test_every_method_misses_the_truth_somewhere(self, noisy_demo):
+        _, same = noisy_demo
+        for method, (mask, _, report) in same.items():
+            assert json.loads(report)["hd_mm"] > 0, method
+            assert not np.array_equal(mask[:, :, ::-1], mask), method  # nor is the mask z-symmetric
+
+    def test_reversing_z_reverses_each_mask_and_crop_box_and_keeps_each_report(self, noisy_demo):
+        d, same = noisy_demo
+        x, y, z = self.SEED
+        nz = read_nifti(d / "same.vol.nii").dims[2]
+        self.rewrite(d, "reversed", reverse_z=True)
+        reversed_ = self.protocol(d, "reversed", (x, y, nz - 1 - z))
+        for method, (mask, box, report) in same.items():
+            mask_r, box_r, report_r = reversed_[method]
+            assert np.array_equal(mask[:, :, ::-1], mask_r), method
+            assert box_r["lo"] == [*box["lo"][:2], nz - 1 - box["hi"][2]], method
+            assert box_r["hi"] == [*box["hi"][:2], nz - 1 - box["lo"][2]], method
+            assert report_r == report, method
+
+    def test_doubling_the_spacing_doubles_each_hausdorff_distance(self, noisy_demo):
+        d, same = noisy_demo
+        self.rewrite(d, "doubled", spacing_scale=2.0)
+        doubled = self.protocol(d, "doubled", self.SEED)
+        for method, (mask, box, report) in same.items():
+            mask_d, box_d, report_d = doubled[method]
+            assert np.array_equal(mask, mask_d) and box == box_d, method
+            report, report_d = json.loads(report), json.loads(report_d)
+            for field, value in report.items():
+                assert report_d[field] == (2 * value if field in self.HAUSDORFF_FIELDS else value), \
+                    (method, field)
 
 
 class TestPreprocessCommand:
