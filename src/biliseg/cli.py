@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import sys
@@ -42,9 +43,12 @@ from ._util import atomic_write
 # One typing rule per field type, read from the config dataclasses' fields and
 # type hints: a float is a finite JSON number, an int a JSON integer, a bool
 # true/false, a Connectivity one of its integer values, a tuple a list of the
-# exact length, a dict[int, X] an object whose keys parse as integers, and a
-# dataclass-typed field (Spacing) a list passed to the class positionally.
-# Range checks stay in the classes' __post_init__ methods.
+# exact length, a dict[int, X] an object whose keys parse as distinct
+# integers, and a dataclass-typed field (Spacing) a list passed to the class
+# positionally. Range checks and canonical forms (a Connectivity member,
+# overrides in ascending slice order) stay in the classes' __post_init__
+# methods, so every document the CLI writes is dataclasses.asdict of an
+# instance: json.dumps writes an IntEnum as its integer and a tuple as a list.
 
 def _load_json(path):
     with open(path, "r", encoding="utf-8") as f:
@@ -112,6 +116,9 @@ def _decode(hint, value, where: str):
                 keys = [int(k) for k in value]
             except ValueError:
                 raise ConfigError(f"{where} keys must be integers, got {list(value)}") from None
+            if len(set(keys)) < len(keys):
+                key = next(a for a, b in itertools.pairwise(sorted(keys)) if a == b)
+                raise ConfigError(f"{where} names {key} more than once, got {list(value)}")
             return {k: _decode(args[1], v, f"{where}.{k}") for k, v in zip(keys, value.values())}
         expected = "an object"
     else:  # a dataclass-typed field such as Spacing
@@ -119,24 +126,6 @@ def _decode(hint, value, where: str):
         items = tuple[tuple(hints[f.name] for f in dataclasses.fields(hint))]
         return hint(*_decode(items, value, where))
     raise ConfigError(f"{where} must be {expected}, got {value!r}")
-
-
-def _to_json(obj) -> dict:
-    """Inverse of ``_from_json``: the fields of ``obj`` in declaration order.
-
-    Every JSON document the CLI writes is built from it: configs in the
-    sidecar, crop boxes and evaluate reports."""
-    return {f.name: _encode(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-
-
-def _encode(value):
-    """``value`` with the two rules ``json.dumps`` lacks applied: integer keys
-    in numeric order, and ``{}`` for an unset ``per_slice_overrides``.
-    ``json.dumps`` itself writes an ``IntEnum`` as its integer and a tuple as
-    a list."""
-    if isinstance(value, dict):
-        return dict(sorted(value.items()))
-    return {} if value is None else value
 
 
 def _write_json(path, doc) -> None:
@@ -186,7 +175,7 @@ def cmd_preprocess(args) -> int:
     volume = read_nifti(args.input)
     out, box = stretch_and_crop(volume, pre)
     if box is not None:
-        _write_json(str(args.output) + ".crop.json", _to_json(box))
+        _write_json(str(args.output) + ".crop.json", dataclasses.asdict(box))
     write_nifti(out, args.output)
     print(f"preprocess: wrote {out.dims[0]}x{out.dims[1]}x{out.dims[2]} volume to {args.output}")
     return 0
@@ -210,10 +199,9 @@ def _run_method(method: str, work, cfg, box, nz: int):
     takes effect.
     """
     if box is not None and method == "threshold":
-        overrides = cfg.per_slice_overrides or {}
-        check_override_slices(overrides, nz)
-        kept = {z - box.lo[2]: pair for z, pair in overrides.items() if box.lo[2] <= z <= box.hi[2]}
-        cfg = dataclasses.replace(cfg, per_slice_overrides=kept or None)
+        check_override_slices(cfg, nz)
+        kept = {z - box.lo[2]: pair for z, pair in cfg.per_slice_overrides.items() if box.lo[2] <= z <= box.hi[2]}
+        cfg = dataclasses.replace(cfg, per_slice_overrides=kept)
     elif box is not None:
         cfg = dataclasses.replace(cfg, seed=_shift_seed(cfg.seed, box))
     run = {"threshold": dual_threshold, "floodfill": flood_fill, "regiongrow": region_grow}[method]
@@ -271,11 +259,11 @@ def cmd_segment(args) -> int:
         "input": str(in_path),
         "output": str(out_path),
         "method": method,
-        "preprocess": _to_json(pre),
-        method: _to_json(method_cfg),
-        "postprocess": [{"policy": _POLICY_NAMES[type(p)], **_to_json(p)} for p in policies],
+        "preprocess": dataclasses.asdict(pre),
+        method: dataclasses.asdict(method_cfg),
+        "postprocess": [{"policy": _POLICY_NAMES[type(p)], **dataclasses.asdict(p)} for p in policies],
         "derived": {
-            "crop_bbox": _to_json(box) if box else None,
+            "crop_bbox": dataclasses.asdict(box) if box else None,
             "mask_voxels": n,
         },
     }
@@ -298,7 +286,7 @@ def cmd_evaluate(args) -> int:
     if not truth.data.any():
         raise DegenerateInputError("ground-truth mask is empty")
     report = evaluate(pred, truth, Connectivity(args.connectivity))
-    _write_json(args.output, _to_json(report))
+    _write_json(args.output, dataclasses.asdict(report))
     print(f"evaluate: DSC={report.dsc:.6f} HD={report.hd_mm:.6f}mm RVD={report.rvd:.6f} "
           f"-> {args.output}")
     return 0

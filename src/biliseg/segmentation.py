@@ -35,6 +35,9 @@ class ThresholdConfig:
 
     ``per_slice_overrides`` replaces the (t_min, t_max) pair on individual
     slices, mirroring acquisitions whose usable band drifts slice to slice.
+    It is stored as a new dict in ascending slice order, ``None`` as ``{}``,
+    so the config shares no dict with its caller and one form serves every
+    reader and the sidecar.
     """
 
     t_min: float
@@ -44,10 +47,11 @@ class ThresholdConfig:
     def __post_init__(self):
         if not self.t_min < self.t_max:
             raise ConfigError(f"need t_min < t_max, got ({self.t_min}, {self.t_max})")
-        if self.per_slice_overrides:
-            for z, (lo, hi) in self.per_slice_overrides.items():
-                if not lo < hi:
-                    raise ConfigError(f"override for slice {z} needs t_min < t_max, got ({lo}, {hi})")
+        overrides = dict(sorted((self.per_slice_overrides or {}).items()))
+        for z, (lo, hi) in overrides.items():
+            if not lo < hi:
+                raise ConfigError(f"override for slice {z} needs t_min < t_max, got ({lo}, {hi})")
+        object.__setattr__(self, "per_slice_overrides", overrides)
 
 
 @dataclass(frozen=True)
@@ -134,20 +138,20 @@ def dual_threshold(volume: Volume, cfg: ThresholdConfig) -> Mask:
     range casts to +-inf, which compares against finite data exactly as the
     float64 bound would, so the cast's overflow warning is silenced.
     """
-    check_override_slices(cfg.per_slice_overrides, volume.dims[2])
+    check_override_slices(cfg, volume.dims[2])
     data = volume.data
     with np.errstate(over="ignore"):
         out = (data > cfg.t_min) & (data <= cfg.t_max)
-        for z, (lo, hi) in (cfg.per_slice_overrides or {}).items():
+        for z, (lo, hi) in cfg.per_slice_overrides.items():
             out[:, :, z] = (data[:, :, z] > lo) & (data[:, :, z] <= hi)
     return Mask(out, volume.spacing)
 
 
-def check_override_slices(overrides: dict[int, tuple[float, float]] | None, nz: int) -> None:
+def check_override_slices(cfg: ThresholdConfig, nz: int) -> None:
     """Raise ``ConfigError`` naming the lowest override slice outside
     ``0..nz-1``. ``dual_threshold`` and the CLI's cropped path both check
     here, so a config names the same slice with the crop on or off."""
-    for z in sorted(overrides or {}):
+    for z in cfg.per_slice_overrides:
         if not 0 <= z < nz:
             raise ConfigError(f"per-slice override references slice {z}, volume has {nz} slices")
 
@@ -182,6 +186,7 @@ def flood_fill(volume: Volume, cfg: FloodFillConfig) -> GrownMask:
     # one float64 temporary; the same arithmetic as astype(float64) - seed_value
     diff = np.subtract(volume.data, seed_value, dtype=np.float64)
     allowed = np.abs(diff, out=diff) <= cfg.tolerance
+    del diff  # two grids the engine's labeling need not sit beside
     return GrownMask(grow_from_seed(allowed, seed, cfg.connectivity.structure()), volume.spacing)
 
 

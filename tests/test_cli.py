@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -14,7 +15,9 @@ import pytest
 import scipy.ndimage
 from hypothesis import example, given, settings, strategies as st
 
-from biliseg import Mask, PreprocessParams, Spacing, __version__, read_nifti, stretch_and_crop, write_nifti
+from biliseg import (BBox, Connectivity, FloodFillConfig, KeepLargest, KeepSeeded, Mask, MetricsReport,
+                     MinSize, PreprocessParams, RegionGrowConfig, Spacing, ThresholdConfig, __version__,
+                     read_nifti, stretch_and_crop, write_nifti)
 import biliseg.cli
 from biliseg.cli import main
 from biliseg.core import in_bounds
@@ -469,10 +472,11 @@ class TestSegmentCommand:
 
     def test_uncropped_flood_fill_peak_memory(self, tmp_path, demo_volume):
         # the stretched grid (1x), the float64 distances to the seed value
-        # (2x), the within-tolerance map that becomes the mask (0.25x) and the
-        # int32 labels (1x): about 4.3 grids; a copy of the map or a second
-        # mask-sized result reads 4.8
-        assert self.uncropped_peak_grids(tmp_path, demo_volume, "floodfill") <= 4.5
+        # (2x) and the within-tolerance map they give (0.25x): about 3.3
+        # grids. The distances are dropped before the engine labels, so its
+        # int32 labels (1x) sit beside the grid and the map alone; distances
+        # kept alive through the labeling read 4.3
+        assert self.uncropped_peak_grids(tmp_path, demo_volume, "floodfill") <= 3.5
 
     def test_demo_configs_draw_no_warning(self, tmp_path, demo_volume, capsys):
         capsys.readouterr()
@@ -606,6 +610,18 @@ class TestSegmentCommand:
         _, box = stretch_and_crop(volume, PreprocessParams(**preprocess))
         seed = SEED_OUTSIDE_DEMO_CROP
         assert in_bounds(seed, volume.dims) and not in_bounds(np.subtract(seed, box.lo), box.shape())
+
+    def test_override_slice_named_twice_exit_2(self, tmp_path, demo_volume, capsys):
+        # three spellings of one integer; none may silently win
+        doc = json.loads((CONFIGS / "segment_demo.json").read_text())
+        doc["method"] = "threshold"
+        doc["threshold"]["per_slice_overrides"] = {"3": [0, 255], " 3": [200, 255], "03": [100, 255]}
+        out = tmp_path / "m.nii"
+        assert main(["segment", "--in", str(demo_volume), "--out", str(out),
+                     "--config", write_json(tmp_path / "twice.json", doc)]) == 2
+        assert capsys.readouterr().err == ("error: threshold.per_slice_overrides names 3 more than once, "
+                                           "got ['3', ' 3', '03']\n")
+        assert not out.exists()
 
     def test_out_of_range_override_slices_name_the_lowest_with_the_crop_on_or_off(
             self, tmp_path, demo_volume, capsys):
@@ -900,7 +916,9 @@ class TestMetamorphicRelations:
 
     Reversing z in the volume, the truth and the seeds reverses each mask and
     its crop box's z range and keeps the report byte for byte: the Sauvola
-    field is per slice, so region growing is included. Doubling the spacing
+    field is per slice, so region growing is included. Reversing x or y does
+    the same for thresholding and flood filling; region growing is left out,
+    since its in-slice relation is not exact in general. Doubling the spacing
     doubles each Hausdorff distance exactly (IEEE multiplication by 2 is exact
     short of overflow) and keeps every other field."""
 
@@ -918,28 +936,29 @@ class TestMetamorphicRelations:
         return d, self.protocol(d, "same", self.SEED)
 
     @staticmethod
-    def rewrite(d, name, reverse_z=False, spacing_scale=1.0):
-        """Write the noisy demo volume and truth as ``name``, z-reversed and
-        with the spacing scaled as asked."""
+    def rewrite(d, name, reverse_axis=None, spacing_scale=1.0):
+        """Write the noisy demo volume and truth as ``name``, reversed along
+        ``reverse_axis`` and with the spacing scaled as asked."""
         for part, as_mask in (("vol", False), ("truth", True)):
             image = read_nifti(d / f"same.{part}.nii", as_mask=as_mask)
             sp = image.spacing
-            write_nifti(type(image)(image.data[:, :, ::-1] if reverse_z else image.data,
+            data = image.data if reverse_axis is None else np.flip(image.data, reverse_axis)
+            write_nifti(type(image)(data,
                                     Spacing(spacing_scale * sp.dx, spacing_scale * sp.dy,
                                             spacing_scale * sp.dz)),
                         d / f"{name}.{part}.nii")
 
     @staticmethod
-    def protocol(d, name, seed):
-        """Segment ``name``'s volume by every method, seeded at ``seed``, and
-        evaluate each mask against ``name``'s truth: {method: (mask, crop
-        box, report text)}."""
+    def protocol(d, name, seed, methods=tuple(biliseg.cli.METHODS)):
+        """Segment ``name``'s volume by each of ``methods``, seeded at
+        ``seed``, and evaluate each mask against ``name``'s truth: {method:
+        (mask, crop box, report text)}."""
         cfg = json.loads((CONFIGS / "segment_demo.json").read_text())
         cfg["preprocess"]["crop_percentile"] = 99.0
         cfg["floodfill"]["seed"] = cfg["regiongrow"]["seed"] = list(seed)
         config = write_json(d / f"{name}.segment.json", cfg)
         runs = {}
-        for method in biliseg.cli.METHODS:
+        for method in methods:
             mask, report = d / f"{name}.{method}.nii", d / f"{name}.{method}.json"
             assert main(["segment", "--in", str(d / f"{name}.vol.nii"), "--out", str(mask),
                          "--method", method, "--config", config]) == 0
@@ -955,18 +974,31 @@ class TestMetamorphicRelations:
             assert json.loads(report)["hd_mm"] > 0, method
             assert not np.array_equal(mask[:, :, ::-1], mask), method  # nor is the mask z-symmetric
 
-    def test_reversing_z_reverses_each_mask_and_crop_box_and_keeps_each_report(self, noisy_demo):
+    def check_reversal(self, noisy_demo, axis, methods):
+        """Run ``methods`` on the case reversed along ``axis`` and check each
+        mask, crop box and report against the unreversed run's."""
         d, same = noisy_demo
-        x, y, z = self.SEED
-        nz = read_nifti(d / "same.vol.nii").dims[2]
-        self.rewrite(d, "reversed", reverse_z=True)
-        reversed_ = self.protocol(d, "reversed", (x, y, nz - 1 - z))
-        for method, (mask, box, report) in same.items():
-            mask_r, box_r, report_r = reversed_[method]
-            assert np.array_equal(mask[:, :, ::-1], mask_r), method
-            assert box_r["lo"] == [*box["lo"][:2], nz - 1 - box["hi"][2]], method
-            assert box_r["hi"] == [*box["hi"][:2], nz - 1 - box["lo"][2]], method
+        n = read_nifti(d / "same.vol.nii").dims[axis]
+        seed = list(self.SEED)
+        seed[axis] = n - 1 - seed[axis]
+        name = f"reversed{axis}"
+        self.rewrite(d, name, reverse_axis=axis)
+        reversed_ = self.protocol(d, name, seed, methods)
+        for method in methods:
+            (mask, box, report), (mask_r, box_r, report_r) = same[method], reversed_[method]
+            assert np.array_equal(np.flip(mask, axis), mask_r), method
+            lo, hi = list(box["lo"]), list(box["hi"])
+            lo[axis], hi[axis] = n - 1 - box["hi"][axis], n - 1 - box["lo"][axis]
+            assert (box_r["lo"], box_r["hi"]) == (lo, hi), method
             assert report_r == report, method
+
+    def test_reversing_z_reverses_each_mask_and_crop_box_and_keeps_each_report(self, noisy_demo):
+        self.check_reversal(noisy_demo, 2, tuple(biliseg.cli.METHODS))
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_reversing_x_or_y_reverses_each_mask_and_crop_box_and_keeps_each_report(
+            self, noisy_demo, axis):
+        self.check_reversal(noisy_demo, axis, ("threshold", "floodfill"))
 
     def test_doubling_the_spacing_doubles_each_hausdorff_distance(self, noisy_demo):
         d, same = noisy_demo
@@ -1177,6 +1209,47 @@ class TestUsage:
         assert biliseg.cli._parser() is shared
 
 
+class TestCodec:
+    # an instance of every class whose fields the CLI writes as JSON: the
+    # sidecar's sections and policies, the crop box and the evaluate report
+    WRITTEN = [
+        ThresholdConfig(120.0, 255.0, {10: (130.0, 250.0), 2: (100.0, 255.0), 31: (0.0, 1.0)}),
+        ThresholdConfig(120.0, 255.0, None),
+        FloodFillConfig((48, 48, 2), 80.0, Connectivity.VERTEX26),
+        RegionGrowConfig((48, 48, 2), 0.5, 90.0, 5, Connectivity.VERTEX8, False),
+        PreprocessParams(0.5, 99.9, True, 99.5, 3),
+        KeepLargest(),
+        MinSize(10),
+        KeepSeeded(((48, 48, 2), (1, 2, 3))),
+        BBox((40, 30, 0), (62, 65, 31)),
+        MetricsReport(0.75, 2.5, 1.5, 2.5, -0.125, 3, 1, 0, 2),
+    ]
+
+    @pytest.mark.parametrize("obj", WRITTEN, ids=lambda obj: type(obj).__name__)
+    def test_written_json_reads_back_equal(self, obj):
+        text = json.dumps(dataclasses.asdict(obj))
+        back = biliseg.cli._from_json(type(obj), json.loads(text), "doc")
+        assert back == obj and json.dumps(dataclasses.asdict(back)) == text
+
+
+def src_env() -> dict:
+    """The environment with this checkout's ``src`` first on ``PYTHONPATH``."""
+    src = str(Path(biliseg.cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+class TestEntryPoints:
+    def test_python_dash_m_runs_the_cli(self, tmp_path):
+        run = [sys.executable, "-m", "biliseg"]
+        proc = subprocess.run([*run, "--version"], capture_output=True, text=True, env=src_env(), timeout=120)
+        assert (proc.returncode, proc.stdout) == (0, f"biliseg {__version__}\n"), proc.stderr
+        proc = subprocess.run([*run, "phantom", "--config", str(CONFIGS / "phantom_demo.json"),
+                               "--out-volume", str(tmp_path / "v.nii"), "--out-truth", str(tmp_path / "t.nii")],
+                              capture_output=True, text=True, env=src_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert read_nifti(tmp_path / "t.nii", as_mask=True).count() == 1578
+
+
 class TestImports:
     def test_cropped_segment_loads_no_scipy_sparse(self, tmp_path):
         # the crop labels its sparse bright mask from its voxel list, in numpy
@@ -1197,11 +1270,9 @@ class TestImports:
             "core._label_sparse = lambda *args: calls.append(args) or label_sparse(*args)\n"
             "code = biliseg.cli.main(sys.argv[1:])\n"
             "print(code, len(calls), [m for m in sys.modules if m.split('.')[:2] == ['scipy', 'sparse']])\n")
-        src = str(Path(biliseg.cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run([sys.executable, "-c", script, "segment", "--in", str(volume), "--out",
                                str(tmp_path / "m.nii"), "--config", config, "--method", "threshold"],
-                              capture_output=True, text=True, env=env, timeout=120)
+                              capture_output=True, text=True, env=src_env(), timeout=120)
         assert proc.returncode == 0, proc.stderr
         code, calls, loaded = proc.stdout.splitlines()[-1].split(" ", 2)
         assert (code, loaded) == ("0", "[]") and int(calls) >= 1

@@ -67,6 +67,13 @@ class TestDualThreshold:
         with pytest.raises(ConfigError):
             dual_threshold(vol(np.zeros((2, 2, 3))), cfg)
 
+    def test_overrides_are_a_copy_in_ascending_slice_order(self):
+        overrides = {3: (10.0, 20.0), 1: (5.0, 6.0)}
+        cfg = ThresholdConfig(0.0, 255.0, overrides)
+        overrides[5] = (9.0, 1.0)  # an invalid pair the frozen config must not see
+        assert list(cfg.per_slice_overrides.items()) == [(1, (5.0, 6.0)), (3, (10.0, 20.0))]
+        assert ThresholdConfig(0.0, 255.0, None).per_slice_overrides == {}
+
     def test_invalid_band(self):
         with pytest.raises(ConfigError):
             ThresholdConfig(60.0, 40.0)
