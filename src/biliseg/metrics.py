@@ -4,13 +4,17 @@ Distances are Euclidean in mm between voxel centers with anisotropic spacing
 honored. The Hausdorff distance is evaluated over all foreground voxel
 centers (no surface extraction). Its value is the one an exact Euclidean
 distance transform of the whole grid gives, bit for bit, but it is found
-without one: a source inside the target is at distance 0, the search keeps
-to the bounding box of the source voxels outside the target and the target,
-and bounds on 8^3 blocks of that box prune an exact search against the
-target's shell. Only when the search would cost more than a distance
-transform of the box, or two nearest voxels tie to the last bit, does one
-distance transform of that search box run. ``distance_transform`` returns
-that transform as a plain float64 array.
+without one: a source inside the target is at distance 0, and a source with
+a target voxel one step away along an axis of the finest spacing ``s`` is at
+``sqrt(s*s)``, the least distance outside the target, so it sets the value
+only when no other source is left. That floor step stands down when another
+axis's step is within rounding of ``s`` without being the same float. The
+rest keeps to the bounding box of the source voxels outside the target and
+the target, and bounds on 8^3 blocks of that box prune an exact search
+against the target's shell. Only when the search would cost more than a
+distance transform of the box, or two nearest voxels tie to the last bit,
+does one distance transform of that search box run. ``distance_transform``
+returns that transform as a plain float64 array.
 
 The topology counts are automated connected-component proxies for visual
 error tallies: spurious prediction components (outliers), ground-truth
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .core import Connectivity, Mask, bbox_of, connected_components, same_geometry
+from .core import BBox, Connectivity, Mask, bbox_of, connected_components, same_geometry
 from .errors import DegenerateInputError
 
 # The exact Hausdorff search (_directed_hd) tiles the source voxels and the
@@ -114,6 +118,10 @@ def _directed_hd(a: Mask, b: Mask) -> float:
     All of ``b`` lies in the bounding box of ``out | b``, and a distance
     transform of ``b`` on any box that holds all of ``b`` gives the same
     value at every voxel of the box, so the search works inside that box.
+    ``_clear_floor`` first removes the voxels of ``out`` at the floor
+    distance: they give the value only when none is left, and every voxel
+    that remains lies farther, so the search, its cost guard and its tie
+    fallback run on the remaining voxels alone.
     """
     out = a.data & ~b.data
     if not out.any():
@@ -121,7 +129,11 @@ def _directed_hd(a: Mask, b: Mask) -> float:
     box = bbox_of(Mask(out | b.data, b.spacing)).slices()
     out = out[box]
     inner = Mask(b.data[box], b.spacing)
-    shell = _Shell(inner)
+    near = bbox_of(inner, margin=1)
+    floor = _clear_floor(out, inner, near)
+    if not out.any():
+        return floor
+    shell = _Shell(inner, near)
     found = _block_search(out, shell)
     best = None if found is None else _edt_value_max(shell, *found)
     if best is None:  # the cost guard or an ulp tie
@@ -129,15 +141,41 @@ def _directed_hd(a: Mask, b: Mask) -> float:
     return best
 
 
+def _clear_floor(out: np.ndarray, b: Mask, near: BBox) -> float | None:
+    """Clear from ``out``, in place, every voxel with a ``b`` voxel one step
+    away along an axis of the finest spacing ``s``, and return their
+    distance-transform value ``sqrt(s*s)``.
+
+    No voxel outside ``b`` lies nearer to ``b``, and every other offset is
+    longer by more than ``_REL_TOL``, so every voxel left in ``out`` lies
+    farther.
+    When another axis's step lies within ``_REL_TOL`` of ``s`` but is another
+    float, the transform could pick that feature instead (an ulp tie, see
+    ``_edt_value_max``), so nothing is cleared and None is returned. ``near``
+    is ``b``'s box grown by one voxel, which holds every voxel to clear.
+    """
+    step = np.sqrt(np.square(b.spacing.as_tuple()))
+    floor = step.min()
+    if (step[step <= floor * (1 + _REL_TOL)] != floor).any():
+        return None
+    free = ~b.data[near.slices()]
+    local = out[near.slices()]
+    for axis in np.flatnonzero(step == floor):
+        head = (slice(None),) * axis + (slice(None, -1),)
+        tail = (slice(None),) * axis + (slice(1, None),)
+        local[head] &= free[tail]
+        local[tail] &= free[head]
+    return float(floor)
+
+
 class _Shell:
     """The voxels of ``b`` with a 6-neighbour outside ``b`` or outside the
     box, grouped by ``_BLOCK``^3 cell. The nearest ``b`` voxel to a voxel
     outside ``b`` is always one of them, because one step from it towards
-    that voxel leaves ``b``."""
+    that voxel leaves ``b``. ``near`` is ``bbox_of(b, margin=1)``."""
 
-    def __init__(self, b: Mask):
+    def __init__(self, b: Mask, near: BBox):
         self.spacing = np.asarray(b.spacing.as_tuple())
-        near = bbox_of(b, margin=1)
         local = b.data[near.slices()]
         voxels = np.array(near.lo) + np.argwhere(
             local & ~ndimage.binary_erosion(local, Connectivity.FACE6.structure()))

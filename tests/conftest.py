@@ -7,6 +7,7 @@ import tracemalloc
 from itertools import product
 
 import numpy as np
+import pytest
 from scipy import ndimage
 
 
@@ -173,6 +174,21 @@ def directed_hd_edt(a: np.ndarray, b: np.ndarray, spacing) -> float:
     """Directed Hausdorff distance a->b read off one full-grid Euclidean
     distance transform of b: the maximum of the transform over a's voxels."""
     return float(ndimage.distance_transform_edt(~b, sampling=spacing)[a].max())
+
+
+def edt_calls(run):
+    """Shapes of the arrays ``run()`` hands to ndimage.distance_transform_edt."""
+    shapes = []
+    original = ndimage.distance_transform_edt
+
+    def spy(input, *args, **kwargs):
+        shapes.append(np.shape(input))
+        return original(input, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ndimage, "distance_transform_edt", spy)
+        run()
+    return shapes
 
 
 def surface_faces_walk(mask: np.ndarray, spacing) -> tuple[np.ndarray, np.ndarray]:

@@ -17,12 +17,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from biliseg import (BBox, Connectivity, FloodFillConfig, KeepLargest, KeepSeeded, Mask, MetricsReport,
                      MinSize, PreprocessParams, RegionGrowConfig, Spacing, ThresholdConfig, __version__,
-                     read_nifti, stretch_and_crop, write_nifti)
+                     hausdorff, read_nifti, stretch_and_crop, write_nifti)
 import biliseg.cli
 from biliseg.cli import main
 from biliseg.core import in_bounds
 from biliseg.phantom import MAX_SEGMENTS, MAX_VOXELS
-from conftest import traced_peak
+from conftest import edt_calls, traced_peak
 
 PHANTOM = {
     "dims": [32, 32, 12],
@@ -724,6 +724,29 @@ class TestEvaluateCommand:
         rc = main(["evaluate", "--in", str(tmp_path / "nope.nii"),
                    "--truth", str(tmp_path / "a.nii"), "--out", str(tmp_path / "r.json")])
         assert rc == 3
+
+    NOISY_DEMO_REPORT = "515a95d970ae0ebdbcb2fe5e05ab93f26dc68f4de60276840c3bf9d57eb3373a"
+
+    def test_noisy_demo_region_growing_runs_one_distance_transform(self, tmp_path):
+        # with noise 30 the grown mask is spongy and every truth voxel it
+        # misses lies one x or y step (1.094 mm, the finest spacing) from it:
+        # the floor settles that direction, so the only distance transform is
+        # prediction->truth's, of its search box
+        phantom = json.loads((CONFIGS / "phantom_demo.json").read_text())
+        phantom["noise_std"] = 30.0
+        volume, truth, mask, report = (tmp_path / name for name in ("v.nii", "t.nii", "m.nii", "r.json"))
+        assert main(["phantom", "--config", write_json(tmp_path / "phantom.json", phantom),
+                     "--out-volume", str(volume), "--out-truth", str(truth)]) == 0
+        assert main(["segment", "--in", str(volume), "--out", str(mask), "--method", "regiongrow",
+                     "--config", str(CONFIGS / "segment_demo.json")]) == 0
+        codes = []
+        assert edt_calls(lambda: codes.append(main(["evaluate", "--in", str(mask), "--truth", str(truth),
+                                                    "--out", str(report)]))) == [(23, 36, 32)]
+        assert codes == [0]
+        pred, gt = read_nifti(mask, as_mask=True), read_nifti(truth, as_mask=True)
+        assert edt_calls(lambda: codes.append(hausdorff(gt, pred, "directed"))) == []
+        assert codes[1] == json.loads(report.read_text())["hd_directed_gt_to_pred"] == 1.093999981880188
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == self.NOISY_DEMO_REPORT
 
 
 def fake_report(path, **values):

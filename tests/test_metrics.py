@@ -2,7 +2,7 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy import ndimage
 
 from biliseg import (Connectivity, DegenerateInputError, FloodFillConfig, GeometryError,
@@ -11,8 +11,8 @@ from biliseg import (Connectivity, DegenerateInputError, FloodFillConfig, Geomet
                      distance_transform, dual_threshold, evaluate, flood_fill, generate_tree,
                      hausdorff, metrics, percentile_stretch, postprocess, rasterize_tree,
                      region_grow, render_intensities, rvd, topology_report)
-from conftest import (directed_hd_edt, hausdorff_brute, ordered_components, place_in_grid,
-                      random_mask)
+from conftest import (directed_hd_edt, edt_calls, hausdorff_brute, ordered_components,
+                      place_in_grid, random_mask)
 
 SP = Spacing(1.0, 1.0, 1.0)
 # spacings whose squared steps give different floats when summed in another
@@ -70,19 +70,23 @@ def mask_pairs(draw):
     return np.asarray(a, order=order), np.asarray(b, order=order), Spacing(*spacing)
 
 
-def edt_calls(run):
-    """Shapes of the arrays ``run()`` hands to ndimage.distance_transform_edt."""
-    shapes = []
-    original = ndimage.distance_transform_edt
+def floor_ring(b, spacing):
+    """The voxels outside ``b`` with a ``b`` voxel one step away along an
+    axis whose spacing is the finest."""
+    sp = np.asarray(spacing)
+    padded = np.pad(b, 1)
+    ring = np.zeros(b.shape, bool)
+    for axis in np.flatnonzero(sp == sp.min()):
+        for shift in (-1, 1):
+            ring |= np.roll(padded, shift, axis)[1:-1, 1:-1, 1:-1]
+    return ring & ~b
 
-    def spy(input, *args, **kwargs):
-        shapes.append(np.shape(input))
-        return original(input, *args, **kwargs)
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ndimage, "distance_transform_edt", spy)
-        run()
-    return shapes
+def near_tie(spacing):
+    """Whether a second axis's spacing lies within 1e-12 of the finest
+    without being the same float."""
+    sp = np.asarray(spacing)
+    return bool(((sp > sp.min()) & (sp <= sp.min() * (1 + 1e-12))).any())
 
 
 class TestDice:
@@ -280,7 +284,7 @@ class TestHausdorff:
         # the box's bound, and the cells within that bound hold the nearest
         # b voxel of each voxel of the box outside b
         _, b, spacing = pair
-        shell = metrics._Shell(Mask(b, spacing))
+        shell = metrics._Shell(Mask(b, spacing), bbox_of(Mask(b, spacing), margin=1))
         lo = np.array([data.draw(st.integers(0, n - 1)) for n in b.shape])
         hi = np.array([data.draw(st.integers(l, min(l + 9, n - 1))) for l, n in zip(lo, b.shape)])
         voxels = lo + np.argwhere(np.ones(hi - lo + 1, bool))
@@ -335,6 +339,78 @@ class TestHausdorff:
                 continue
             # at most one, for the cost guard or an ulp tie alike, of the search box
             assert shapes in ([], [bbox_of(Mask(out | y, spacing)).shape()])
+
+    @settings(max_examples=150, deadline=None)
+    @given(mask_pairs(), st.data())
+    def test_sources_one_finest_step_from_the_target_settle_without_a_search(self, pair, data):
+        # every source voxel outside b has a b voxel one step away along a
+        # finest axis, so each lies at sqrt(s*s) and neither the shell nor a
+        # distance transform is needed; one far source voxel brings the
+        # search back
+        a, b, spacing = pair
+        assume(not near_tie(spacing.as_tuple()))
+        ring = floor_ring(b, spacing.as_tuple())
+        assume(ring.any())
+        source = a & (b | ring)
+        source.flat[data.draw(st.sampled_from(np.flatnonzero(ring)))] = True
+        s = min(spacing.as_tuple())
+        got = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics._Shell, "__init__", lambda *args: pytest.fail("a shell was built"))
+            assert edt_calls(lambda: got.append(hausdorff(Mask(source, spacing), Mask(b, spacing),
+                                                          "directed"))) == []
+        assert got[0] == directed_hd_edt(source, b, spacing.as_tuple()) == float(np.sqrt(s * s))
+        far = np.flatnonzero(~b & ~ring)
+        assume(far.size)
+        source.flat[data.draw(st.sampled_from(far))] = True
+        assert hausdorff(Mask(source, spacing), Mask(b, spacing), "directed") == \
+            directed_hd_edt(source, b, spacing.as_tuple())
+
+    # a second axis within 1e-12 of the finest (ulp or not) and equal axes
+    FLOOR_SPACINGS = ((1.0, 1.0 + 1e-13, 1.5), (1.5, 0.7, float(np.nextafter(0.7, 1.0))),
+                      (float(np.nextafter(0.3, 0.0)), 2.0, 0.3), (1.0, 1.0, 1.0), (1.1, 1.1, 1.1),
+                      (0.9, 0.9, 1.4))
+
+    @settings(max_examples=150, deadline=None)
+    @given(mask_pairs(), st.sampled_from(FLOOR_SPACINGS))
+    def test_floor_stands_down_for_a_near_tie_and_holds_for_equal_axes(self, pair, spacing):
+        # a step within 1e-12 of the finest but another float lets the
+        # transform pick either feature, so nothing is settled early and the
+        # shell is built; equal steps give one float, and the floor holds
+        a, b, _ = pair
+        spacing = Spacing(*spacing)
+        built = []
+        init = metrics._Shell.__init__
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics._Shell, "__init__", lambda self, *args: built.append(init(self, *args)))
+            for x, y in ((a, b), (b, a)):
+                del built[:]
+                assert hausdorff(Mask(x, spacing), Mask(y, spacing), "directed") == \
+                    directed_hd_edt(x, y, spacing.as_tuple())
+                if near_tie(spacing.as_tuple()):
+                    assert len(built) == int((x & ~y).any())
+
+    @settings(max_examples=200, deadline=None)
+    @given(mask_pairs())
+    def test_doubling_every_spacing_doubles_both_directed_distances(self, pair):
+        # IEEE multiplication by 2 is exact short of overflow, so every
+        # distance, bound and tolerance of the search scales exactly
+        a, b, spacing = pair
+        doubled = Spacing(*(2 * v for v in spacing.as_tuple()))
+        for x, y in ((a, b), (b, a)):
+            assert hausdorff(Mask(x, doubled), Mask(y, doubled), "directed") == \
+                2 * hausdorff(Mask(x, spacing), Mask(y, spacing), "directed")
+
+    @settings(max_examples=200, deadline=None)
+    @given(mask_pairs(), st.integers(0, 2))
+    def test_reversing_one_axis_of_both_masks_keeps_both_directed_distances(self, pair, axis):
+        # the blocks, the shell cells and the floor's shifts all change with
+        # the reversal; the values may not
+        a, b, spacing = pair
+        ra, rb = np.flip(a, axis), np.flip(b, axis)
+        for x, y, rx, ry in ((a, b, ra, rb), (b, a, rb, ra)):
+            assert hausdorff(Mask(rx, spacing), Mask(ry, spacing), "directed") == \
+                hausdorff(Mask(x, spacing), Mask(y, spacing), "directed")
 
     def test_symmetric_is_symmetric(self):
         rng = np.random.default_rng(37)
